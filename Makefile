@@ -23,8 +23,12 @@ ci: build vet fmt-check test race bench-smoke
 build:
 	$(GO) build ./...
 
+## vet also covers perfbench: it is a separate module (replace pgti => ../),
+## so the root build never compiles it and an internal API break would
+## otherwise surface only when the benchmark runs.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -327,6 +327,9 @@ func (c *expConfig) validate() error {
 		if cc.GradAlgo != GradAlgoRing {
 			return invalid("Spatial", "WithGradStack Algo is not supported with spatial sharding (the two-stage grouped collective is fixed)")
 		}
+		if cc.MissingFrac > 0 {
+			return invalid("MissingFrac", "WithMissingData is not supported with spatial sharding (a masked mean across shards needs a grid-wide count of observed targets)")
+		}
 	}
 	if cc.GradFP16 && !dist {
 		return invalid("GradStack", "fp16 gradient compression needs a distributed strategy (a single GPU ships no gradients)")

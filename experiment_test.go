@@ -108,6 +108,9 @@ func TestOptionValidationTable(t *testing.T) {
 		{"negative staleness", []Option{
 			WithStrategy(StrategyDistIndex), WithWorkers(2), WithSpatial(2), WithStaleness(-1),
 		}},
+		{"missing data+spatial", []Option{
+			WithStrategy(StrategyDistIndex), WithWorkers(2), WithSpatial(2), WithMissingData(0.3),
+		}},
 	}
 	for _, tc := range cases {
 		_, err := NewExperiment("PeMS-BAY", tc.opts...)
@@ -133,6 +136,8 @@ func TestOptionValidationTable(t *testing.T) {
 		// prefetch composes with any strategy.
 		{WithStrategy(StrategyDistIndex), WithWorkers(2), WithSpatial(2), WithStaleness(2)},
 		{WithStrategy(StrategyGenDistIndex), WithWorkers(2), WithPrefetch()},
+		// The masked loss trains on every unsharded distributed strategy.
+		{WithStrategy(StrategyBaselineDDP), WithWorkers(2), WithMissingData(0.3)},
 	}
 	for i, opts := range legal {
 		if _, err := NewExperiment("PeMS-BAY", opts...); err != nil {

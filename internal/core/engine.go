@@ -68,12 +68,13 @@ type Engine struct {
 	src         batchSource
 	gpuResident bool
 
-	// Distributed pipeline.
+	// Distributed pipeline: every distributed strategy runs on the grid
+	// trainer — gridCfg is its data-parallel half and grid the composition
+	// (whole-graph replicas, or the hybrid grid lowered from shardCfg).
 	idx           *batching.IndexDataset
-	factory       ddp.ModelFactory
-	ddpCfg        ddp.Config
+	gridCfg       ddp.Config
+	grid          ddp.Grid
 	shardCfg      shard.Config
-	hybrid        bool
 	shardFactory  shard.ModelFactory
 	shardSupports []*sparse.CSR // supports trimmed for the sharded model
 
@@ -178,6 +179,11 @@ func (e *Engine) validate() error {
 		// select and is rejected rather than silently ignored.
 		if cfg.GradAlgo != ddp.GradAlgoRing {
 			return invalidf("Spatial", "GradAlgo is not supported with spatial sharding (the two-stage grouped collective is fixed); use GradSync to pick the flatten baseline")
+		}
+		// The masked MAE divides by the batch's observed-target count; a
+		// sharded step would need that count grid-wide before the loss.
+		if cfg.MissingFrac > 0 {
+			return invalidf("MissingFrac", "missing-data training is not supported with spatial sharding (a masked mean across shards needs a grid-wide count of observed targets)")
 		}
 	}
 	if cfg.Resume && cfg.LoadCheckpoint == "" {
@@ -495,13 +501,13 @@ func (e *Engine) buildDistributed() error {
 	cfg := &e.cfg
 	meta := e.meta
 	sys, gpu := e.sys, e.gpu
-	e.factory = e.singleFactory()
+	factory := e.singleFactory()
 
 	// Per-worker replica + staging accounting. In-process all workers share
 	// one address space; the tracker reflects what a real deployment holds
 	// per strategy: DistIndex replicates the dataset per worker, the
 	// partitioned strategies hold one share each.
-	model := e.factory(cfg.Seed)
+	model := factory(cfg.Seed)
 	init, startEpoch, err := e.checkpointInit(model)
 	if err != nil {
 		return err
@@ -532,7 +538,7 @@ func (e *Engine) buildDistributed() error {
 	e.report.PerWorkerBytes = paramBytes + batchBytes + perWorkerData
 	sys.Record(0.10)
 
-	e.ddpCfg = ddp.Config{
+	e.gridCfg = ddp.Config{
 		Workers:         cfg.Workers,
 		BatchSize:       cfg.BatchSize,
 		Epochs:          cfg.Epochs,
@@ -566,7 +572,13 @@ func (e *Engine) buildDistributed() error {
 		if err != nil {
 			return err
 		}
-		e.ddpCfg.Store = store
+		e.gridCfg.Store = store
+	}
+	e.grid = ddp.Grid{
+		Bind: func(_ *cluster.Worker, _ []int, seed uint64) (nn.SeqModel, ddp.Shard) {
+			return factory(seed), nil
+		},
+		Masked: cfg.MissingFrac > 0,
 	}
 	return nil
 }
@@ -575,7 +587,6 @@ func (e *Engine) buildHybrid() error {
 	cfg := &e.cfg
 	meta := e.meta
 	sys, gpu := e.sys, e.gpu
-	e.hybrid = true
 	supports := e.supports
 	if cfg.Model == ModelA3TGCN {
 		supports = supports[:1] // A3T-GCN diffuses over the forward support only
@@ -677,7 +688,16 @@ func (e *Engine) buildHybrid() error {
 		Trace:           cfg.Trace,
 		Faults:          cfg.Faults,
 	}
-	return nil
+	if cfg.Events != nil {
+		e.shardCfg.OnRepartition = func(ev shard.RepartitionEvent) {
+			e.emit(RepartitionEvent{
+				Epoch: ev.Epoch, From: ev.From, To: ev.To,
+				Nodes: len(ev.Nodes), EdgeCut: ev.EdgeCut,
+			})
+		}
+	}
+	e.gridCfg, e.grid, _, err = shard.NewGrid(e.idx, e.g, supports, e.shardFactory, e.shardCfg)
+	return err
 }
 
 // Fit trains. The context is honored mid-epoch: single-GPU runs poll it per
@@ -703,13 +723,10 @@ func (e *Engine) Fit(ctx context.Context) error {
 	}
 	start := time.Now()
 	var err error
-	switch {
-	case !e.cfg.Strategy.IsDistributed():
+	if e.cfg.Strategy.IsDistributed() {
+		err = e.fitGrid(ctx)
+	} else {
 		err = e.fitSingle(ctx)
-	case e.hybrid:
-		err = e.fitHybrid(ctx)
-	default:
-		err = e.fitDistributed(ctx)
 	}
 	if err = e.seal(start, err); err != nil {
 		return err
@@ -904,159 +921,46 @@ func (e *Engine) fitSingle(ctx context.Context) error {
 	return e.saveState(cfg.Epochs)
 }
 
-// fitDistributed drives the three DDP strategies through internal/ddp.
-// With a fault plan armed it is also the flat recovery loop: each detected
-// worker loss rolls back to the last epoch-boundary snapshot, drops the dead
-// rank from the world, charges detection + re-fill on the stitched clock,
-// and re-runs the trainer from the snapshot on the survivors — so the
+// fitGrid drives every distributed strategy through the grid trainer: the
+// 1 x Workers DDP grid, or the hybrid cfg.Spatial.Shards x cfg.Workers grid
+// whose workers each hold only a ~N/P share of the node features plus a
+// transient halo slab. With a fault plan armed it is also the recovery
+// loop: each detected worker loss rolls back to the last epoch-boundary
+// snapshot, rebuilds the grid on the survivors, charges detection + re-fill
+// on the stitched clock, and re-runs the trainer from the snapshot — so the
 // post-recovery curve is bitwise identical to a fresh run started from that
 // snapshot on the surviving grid.
-func (e *Engine) fitDistributed(ctx context.Context) error {
-	cfg := &e.cfg
-	report := e.report
-	ddpCfg := e.ddpCfg
-	ddpCfg.Ctx = ctx
-	if e.cfg.Events != nil {
-		ddpCfg.OnEpoch = func(rec metrics.EpochRecord) {
-			e.emit(EpochEvent{Epoch: rec.Epoch, TrainMAE: rec.TrainMAE, ValMAE: rec.ValMAE})
-		}
-		ddpCfg.OnAutotuneLock = func(bucketBytes int64) {
-			e.emit(AutotuneEvent{BucketBytes: bucketBytes})
-		}
-	}
-	var (
-		prefix metrics.Curve
-		offset time.Duration
-	)
-	net := resolvedNet(ddpCfg.Net)
-	for {
-		var snap *ddp.Snapshot
-		if ddpCfg.Faults != nil {
-			ddpCfg.OnSnapshot = func(s ddp.Snapshot) { snap = &s }
-		}
-		res, err := ddp.Train(e.idx, e.split, e.factory, ddpCfg)
-		if err != nil {
-			var lost *cluster.WorkerLostError
-			if !errors.As(err, &lost) || snap == nil {
-				return err
-			}
-			// Rebuild from the survivors: the dead rank drops out, ranks
-			// above it renumber down one, and the remaining fault schedule
-			// shifts onto the new attempt's clock.
-			survivors := ddpCfg.Workers - 1
-			refill := net.FetchTime(snapshotBytes(snap.Params))
-			ranks := make(map[int]int, survivors)
-			for r := 0; r < ddpCfg.Workers; r++ {
-				if r == lost.Rank {
-					continue
-				}
-				nr := r
-				if r > lost.Rank {
-					nr = r - 1
-				}
-				ranks[r] = nr
-			}
-			next := ddpCfg.Faults.Remap(ranks).Shift(lost.Detected + refill)
-			if survivors < 1 || next.Validate(survivors) != nil {
-				// Unrecoverable: the remaining schedule leaves no survivor.
-				// Honor SaveCheckpoint with the last consistent epoch state
-				// through the same abnormal-exit path cancellation uses.
-				if rerr := e.restoreSnapshot(snap.Params, snap.State); rerr != nil {
-					return rerr
-				}
-				if serr := e.saveInterrupted(snap.NextEpoch); serr != nil {
-					return serr
-				}
-				return fmt.Errorf("core: fit unrecoverable in epoch %d: %w", snap.NextEpoch, lost)
-			}
-			prefix = append(prefix, snap.Curve...)
-			offset = e.bookRecovery(offset, recovery{
-				lost: lost, refill: refill, epoch: snap.NextEpoch,
-				snapVT: snap.VirtualTime, shards: 1, replicas: survivors,
-			})
-			ddpCfg.Workers = survivors
-			ddpCfg.StartEpoch = snap.NextEpoch
-			ddpCfg.Init = snapshotInit(snap.Params, snap.State)
-			ddpCfg.Faults = next
-			if ddpCfg.Store != nil {
-				// The partitioned layout re-splits the rows over the
-				// survivors (the dead worker's partition re-fills from its
-				// peers; the clock charge is covered by refill).
-				store, serr := batching.NewPartitionStore(e.idx, survivors)
-				if serr != nil {
-					return serr
-				}
-				ddpCfg.Store = store
-			}
-			continue
-		}
-		e.sys.Record(1.0)
-		report.Workers = ddpCfg.Workers
-		report.GlobalBatch = ddpCfg.BatchSize * ddpCfg.Workers
-		report.Curve = append(prefix, res.Curve...)
-		report.VirtualTime = offset + res.VirtualTime
-		report.CommTime = res.CommTime
-		report.CommHiddenTime = res.CommHiddenTime
-		// A flat (unsharded) world has no intra-node channel: all exposed
-		// gradient traffic rides the inter fabric.
-		report.CommExposedInter = res.CommTime
-		report.GradBuckets = res.GradBuckets
-		report.GradBucketBytes = res.BucketBytes
-		report.CommBytesSaved = res.CommBytesSaved
-		report.Steps = res.Steps
-		report.GradSyncBytes = res.GradSyncBytes
-		e.model, e.opt = res.Model, res.Opt
-		if res.Cancelled {
-			if err := e.saveInterrupted(ddpCfg.StartEpoch + len(res.Curve)); err != nil {
-				return err
-			}
-			return fmt.Errorf("core: fit cancelled after %d epochs: %w", len(prefix)+len(res.Curve), ctx.Err())
-		}
-		return e.saveState(cfg.Epochs)
-	}
-}
-
-// fitHybrid drives the 2D (spatial x data) grid: cfg.Spatial.Shards node
-// blocks times cfg.Workers data replicas. Each worker's tracked footprint is
-// only its ~N/P share of the node features plus a transient halo slab, the
-// memory axis spatial sharding exists to shrink.
-func (e *Engine) fitHybrid(ctx context.Context) error {
+func (e *Engine) fitGrid(ctx context.Context) error {
 	cfg := &e.cfg
 	meta := e.meta
 	report := e.report
-	shardCfg := e.shardCfg
-	shardCfg.Ctx = ctx
+	run, grid, shardCfg := e.gridCfg, e.grid, e.shardCfg
+	run.Ctx = ctx
 	if e.cfg.Events != nil {
-		shardCfg.OnEpoch = func(rec metrics.EpochRecord) {
+		run.OnEpoch = func(rec metrics.EpochRecord) {
 			e.emit(EpochEvent{Epoch: rec.Epoch, TrainMAE: rec.TrainMAE, ValMAE: rec.ValMAE})
 		}
-		shardCfg.OnAutotuneLock = func(bucketBytes int64) {
+		run.OnAutotuneLock = func(bucketBytes int64) {
 			e.emit(AutotuneEvent{BucketBytes: bucketBytes})
-		}
-		shardCfg.OnRepartition = func(ev shard.RepartitionEvent) {
-			e.emit(RepartitionEvent{
-				Epoch: ev.Epoch, From: ev.From, To: ev.To,
-				Nodes: len(ev.Nodes), EdgeCut: ev.EdgeCut,
-			})
 		}
 	}
 	var (
 		prefix metrics.Curve
 		offset time.Duration
 	)
-	net := resolvedNet(shardCfg.Net)
+	net := resolvedNet(run.Net)
 	for {
-		var snap *shard.Snapshot
-		if shardCfg.Faults != nil {
-			shardCfg.OnSnapshot = func(s shard.Snapshot) { snap = &s }
+		var snap *ddp.Snapshot
+		if run.Faults != nil {
+			run.OnSnapshot = func(s ddp.Snapshot) { snap = &s }
 		}
-		res, err := shard.Train(e.idx, e.split, e.g, e.shardSupports, e.shardFactory, shardCfg)
+		res, err := ddp.TrainGrid(e.idx, e.split, run, grid)
 		if err != nil {
 			var lost *cluster.WorkerLostError
 			if !errors.As(err, &lost) || snap == nil {
 				return err
 			}
-			shards, replicas := shardCfg.Shards, shardCfg.Replicas
+			shards, replicas := max(grid.Shards, 1), run.Workers
 			repDead, shDead := lost.Rank/shards, lost.Rank%shards
 			refill := net.FetchTime(snapshotBytes(snap.Params))
 			newShards, newReplicas := shards, replicas
@@ -1066,7 +970,8 @@ func (e *Engine) fitHybrid(ctx context.Context) error {
 				// Replica loss: the whole replica group containing the dead
 				// rank drops (its shards cannot finish a batch without it);
 				// the partition is untouched and the surviving replica rows
-				// renumber down one.
+				// renumber down one. On the DDP grid that is the dead rank
+				// alone.
 				newReplicas = replicas - 1
 				for q := 0; q < replicas; q++ {
 					if q == repDead {
@@ -1114,7 +1019,7 @@ func (e *Engine) fitHybrid(ctx context.Context) error {
 				}
 			}
 			world := newShards * newReplicas
-			next := shardCfg.Faults.Remap(ranks).Shift(lost.Detected + refill)
+			next := run.Faults.Remap(ranks).Shift(lost.Detected + refill)
 			if world < 1 || next.Validate(world) != nil {
 				// Unrecoverable: the remaining schedule leaves no survivor;
 				// persist the last consistent epoch state through the shared
@@ -1127,24 +1032,37 @@ func (e *Engine) fitHybrid(ctx context.Context) error {
 				}
 				return fmt.Errorf("core: fit unrecoverable in epoch %d: %w", snap.NextEpoch, lost)
 			}
-			plan, perr := shard.ReplanFrom(e.g, e.shardSupports, newShards, owner)
-			if perr != nil {
-				return perr
+			if cfg.Spatial.Enabled() {
+				plan, perr := shard.ReplanFrom(e.g, e.shardSupports, newShards, owner)
+				if perr != nil {
+					return perr
+				}
+				shardCfg.Shards, shardCfg.Replicas, shardCfg.Plan = newShards, newReplicas, plan
+				if _, grid, _, err = shard.NewGrid(e.idx, e.g, e.shardSupports, e.shardFactory, shardCfg); err != nil {
+					return err
+				}
+			}
+			if run.Store != nil {
+				// The partitioned layout re-splits the rows over the
+				// survivors (the dead worker's partition re-fills from its
+				// peers; the clock charge is covered by refill).
+				if run.Store, err = batching.NewPartitionStore(e.idx, newReplicas); err != nil {
+					return err
+				}
 			}
 			prefix = append(prefix, snap.Curve...)
 			offset = e.bookRecovery(offset, recovery{
 				lost: lost, refill: refill, epoch: snap.NextEpoch,
 				snapVT: snap.VirtualTime, shards: newShards, replicas: newReplicas,
 			})
-			shardCfg.Shards, shardCfg.Replicas = newShards, newReplicas
-			shardCfg.Plan = plan
-			shardCfg.StartEpoch = snap.NextEpoch
-			shardCfg.Init = snapshotInit(snap.Params, snap.State)
-			shardCfg.Faults = next
+			run.Workers = newReplicas
+			run.StartEpoch = snap.NextEpoch
+			run.Init = snapshotInit(snap.Params, snap.State)
+			run.Faults = next
 			continue
 		}
 		e.sys.Record(1.0)
-		report.Workers = shardCfg.Shards * shardCfg.Replicas
+		report.Workers = max(grid.Shards, 1) * run.Workers
 		report.GlobalBatch = res.GlobalBatch
 		report.Curve = append(prefix, res.Curve...)
 		report.VirtualTime = offset + res.VirtualTime
@@ -1162,18 +1080,19 @@ func (e *Engine) fitHybrid(ctx context.Context) error {
 		report.CommBytesSaved = res.CommBytesSaved
 		report.GradBuckets = res.GradBuckets
 		report.GradBucketBytes = res.BucketBytes
-
-		// The trained parameters are identical on every worker and independent
-		// of the propagators, so they load straight into a full-graph model —
-		// the servable artifact checkpoints and the Predictor hold.
-		full := buildModel(cfg.Model, cfg.Seed, e.supports, e.in, cfg.Hidden, cfg.K, meta.Horizon, meta.Nodes)
-		if err := nn.RestoreParams(full, nn.SnapshotParams(res.Model)); err != nil {
-			return err
+		e.model, e.opt = res.Model, res.Opt
+		if cfg.Spatial.Enabled() {
+			// The trained parameters are identical on every worker and
+			// independent of the propagators, so they load straight into a
+			// full-graph model — the servable artifact checkpoints and the
+			// Predictor hold.
+			e.model = buildModel(cfg.Model, cfg.Seed, e.supports, e.in, cfg.Hidden, cfg.K, meta.Horizon, meta.Nodes)
+			if err := nn.RestoreParams(e.model, nn.SnapshotParams(res.Model)); err != nil {
+				return err
+			}
 		}
-		e.model = full
-		e.opt = res.Opt
 		if res.Cancelled {
-			if err := e.saveInterrupted(shardCfg.StartEpoch + len(res.Curve)); err != nil {
+			if err := e.saveInterrupted(run.StartEpoch + len(res.Curve)); err != nil {
 				return err
 			}
 			return fmt.Errorf("core: fit cancelled after %d epochs: %w", len(prefix)+len(res.Curve), ctx.Err())

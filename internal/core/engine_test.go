@@ -93,6 +93,11 @@ func TestEngineTypedValidationErrors(t *testing.T) {
 			c.GradAlgo = ddp.GradAlgoHierarchical
 			c.Topology = cluster.Topology{Nodes: 2, GPUsPerNode: 2}
 		}},
+		{"spatial+missing data", func(c *Config) {
+			c.Strategy = DistIndex
+			c.Spatial.Shards = 2
+			c.MissingFrac = 0.3
+		}},
 		{"unknown strategy", func(c *Config) { c.Strategy = Strategy(99) }},
 		{"resume without checkpoint", func(c *Config) { c.Resume = true }},
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pgti/internal/autograd"
+	"pgti/internal/ddp"
 	"pgti/internal/tensor"
 )
 
@@ -157,5 +158,46 @@ func TestLoadMissingCheckpointFails(t *testing.T) {
 	cfg.LoadCheckpoint = filepath.Join(t.TempDir(), "absent.pgtc")
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("expected error for missing checkpoint")
+	}
+}
+
+// TestMaskedLossOnTheGrid: missing-data runs train and validate with the
+// masked MAE on every unsharded distributed strategy. With one worker the
+// grid trainer replays the single-GPU index schedule, so its curve matches
+// the index run's masked curve to reassociation noise.
+func TestMaskedLossOnTheGrid(t *testing.T) {
+	index := tinyCfg(Index)
+	index.MissingFrac = 0.3
+	ref, err := Run(index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := func(a, b float64) float64 { return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b)) }
+	for _, s := range []Strategy{DistIndex, BaselineDDP, GenDistIndex} {
+		cfg := tinyCfg(s)
+		cfg.MissingFrac = 0.3
+		cfg.Workers = 1
+		cfg.Sampler, cfg.SamplerSet = ddp.GlobalShuffle, true
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		for i, r := range rep.Curve {
+			if d := rel(r.TrainMAE, ref.Curve[i].TrainMAE); d > 1e-9 {
+				t.Errorf("%v epoch %d: train MAE %v vs index %v (rel %g)", s, i, r.TrainMAE, ref.Curve[i].TrainMAE, d)
+			}
+			if d := rel(r.ValMAE, ref.Curve[i].ValMAE); d > 1e-9 {
+				t.Errorf("%v epoch %d: val MAE %v vs index %v (rel %g)", s, i, r.ValMAE, ref.Curve[i].ValMAE, d)
+			}
+		}
+		// Two workers train the masked loss too, and learn.
+		cfg.Workers = 2
+		rep, err = Run(cfg)
+		if err != nil {
+			t.Fatalf("%v x2: %v", s, err)
+		}
+		if first, last := rep.Curve[0].TrainMAE, rep.Curve[len(rep.Curve)-1].TrainMAE; !(last < first) {
+			t.Errorf("%v x2: masked training did not learn: %v -> %v", s, first, last)
+		}
 	}
 }

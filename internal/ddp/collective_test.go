@@ -44,28 +44,31 @@ func TestDeterminismAcrossAlgosAndWorkers(t *testing.T) {
 
 	// Two-worker cross-algorithm equivalence at fp64: averaging two replicas
 	// is the same sum in any order, so the collective algorithm must not
-	// change a single bit of the trajectory.
-	curves := map[GradAlgo][]float64{}
-	for _, algo := range []GradAlgo{GradAlgoFlat, GradAlgoRing, GradAlgoHierarchical} {
-		cfg := Config{
-			Workers: 2, BatchSize: 3, Epochs: 2, LR: 0.01, Seed: 17,
-			Algo: algo, Topology: cluster.Topology{GPUsPerNode: 2}, BucketBytes: 512,
+	// change a single bit of the trajectory — with gradient clipping too,
+	// since every algorithm clips the synchronized gradient.
+	for _, clip := range []float64{0, 0.05} {
+		curves := map[GradAlgo][]float64{}
+		for _, algo := range []GradAlgo{GradAlgoFlat, GradAlgoRing, GradAlgoHierarchical} {
+			cfg := Config{
+				Workers: 2, BatchSize: 3, Epochs: 2, LR: 0.01, Seed: 17, ClipNorm: clip,
+				Algo: algo, Topology: cluster.Topology{GPUsPerNode: 2}, BucketBytes: 512,
+			}
+			res, err := Train(data, split, factory, cfg)
+			if err != nil {
+				t.Fatalf("algo=%v clip=%v: %v", algo, clip, err)
+			}
+			for _, rec := range res.Curve {
+				curves[algo] = append(curves[algo], rec.TrainMAE, rec.ValMAE)
+			}
+			if res.Algo != algo {
+				t.Fatalf("result reports algo %v, want %v", res.Algo, algo)
+			}
 		}
-		res, err := Train(data, split, factory, cfg)
-		if err != nil {
-			t.Fatalf("algo=%v: %v", algo, err)
-		}
-		for _, rec := range res.Curve {
-			curves[algo] = append(curves[algo], rec.TrainMAE, rec.ValMAE)
-		}
-		if res.Algo != algo {
-			t.Fatalf("result reports algo %v, want %v", res.Algo, algo)
-		}
-	}
-	for algo, c := range curves {
-		for i := range c {
-			if c[i] != curves[GradAlgoFlat][i] {
-				t.Fatalf("algo %v diverges from flat at curve point %d: %v vs %v", algo, i, c[i], curves[GradAlgoFlat][i])
+		for algo, c := range curves {
+			for i := range c {
+				if c[i] != curves[GradAlgoFlat][i] {
+					t.Fatalf("clip=%v: algo %v diverges from flat at curve point %d: %v vs %v", clip, algo, i, c[i], curves[GradAlgoFlat][i])
+				}
 			}
 		}
 	}

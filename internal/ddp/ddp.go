@@ -4,11 +4,15 @@
 // locally shuffled) epoch, and averages gradients with a ring AllReduce.
 // The gradient exchange is numerically real — replicas remain bitwise
 // identical — while virtual clocks accumulate the Polaris-scale runtime.
+//
+// One step/epoch loop, TrainGrid, serves every distributed run: it trains a
+// Shards x Replicas grid, and plain DDP (Train) is its 1 x W case. Package
+// shard supplies the node-partition half of a sharded grid (plan,
+// propagators, halo exchanges, repartitioning) through the Shard interface.
 package ddp
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"pgti/internal/autograd"
@@ -129,12 +133,9 @@ type Config struct {
 	// mitigation for large-global-batch accuracy loss).
 	UseLRScaling bool
 	// ClipNorm, when > 0, clips the gradient norm before the optimizer
-	// step. Note the clip point depends on Sync: SyncBucketedOverlap clips
-	// the globally *averaged* gradients (buckets are already exchanged when
-	// backward returns — torch-DDP semantics), while SyncFlatten preserves
-	// the legacy order of clipping local gradients before the AllReduce.
-	// With clipping enabled the two modes are therefore not bitwise
-	// ablations of each other; disable it when comparing schedules.
+	// step. Every schedule clips the synchronized gradient, after the
+	// exchange (torch-DDP order), so the flat, ring and hierarchical
+	// algorithms stay bitwise ablations of each other under clipping.
 	ClipNorm float64
 	Sampler  SamplerKind
 	Seed     uint64
@@ -242,23 +243,41 @@ type Snapshot struct {
 	State *nn.TrainState
 	// Curve holds the epochs completed so far in this run.
 	Curve metrics.Curve
+	// Owner is the node->shard assignment in force at the boundary on a
+	// sharded grid (elastic migrations may have moved it off the initial
+	// plan); nil when the graph is whole.
+	Owner []int
 	// VirtualTime is the synchronized clock at the boundary.
 	VirtualTime time.Duration
 }
 
-// Result summarizes a distributed run.
+// Result summarizes a distributed run from worker 0's perspective.
 type Result struct {
 	Curve metrics.Curve
 	// VirtualTime is the synchronized virtual clock at completion.
 	VirtualTime time.Duration
 	// CommTime is the portion of VirtualTime spent in *exposed* modeled
-	// communication (gradient AllReduce + remote fetches) from worker 0's
-	// perspective — comm hidden under backward compute by bucketed overlap
-	// does not appear here.
+	// communication (gradient AllReduce + remote fetches) — comm hidden
+	// under backward compute by bucketed overlap does not appear here;
+	// halo traffic is reported separately.
 	CommTime time.Duration
 	// CommHiddenTime is the modeled communication cost that bucketed
 	// overlap hid under backward compute (zero for SyncFlatten).
 	CommHiddenTime time.Duration
+	// CommExposedIntra / CommExposedInter split the exposed communication
+	// (halo or gradient) by modeled channel: each is the time that
+	// channel's traffic extended past compute or was charged inline. The
+	// two tails run concurrently, so their sum can exceed the total exposed
+	// time. The unsharded grid rides the fabric alone.
+	CommExposedIntra time.Duration
+	CommExposedInter time.Duration
+	// HaloTime / HaloBytes are the modeled halo-exchange cost and wire
+	// traffic across forward and backward passes; HaloHiddenTime is the
+	// portion of HaloTime the interior-first overlap hid under compute.
+	// Zero when the graph is whole.
+	HaloTime       time.Duration
+	HaloHiddenTime time.Duration
+	HaloBytes      int64
 	// GradSyncBytes is the total gradient wire traffic per worker (fp16
 	// buckets count at their compressed size).
 	GradSyncBytes int64
@@ -278,9 +297,16 @@ type Result struct {
 	Steps int
 	// GlobalBatch is BatchSize * Workers.
 	GlobalBatch int
-	// Model and Opt are rank 0's trained replica and optimizer. Replicas are
-	// bitwise identical, so this pair is the run's checkpointable state and
-	// the warm handle inference serves from.
+	// Repartitions counts the elastic chunk migrations a sharded grid
+	// applied; ShardLoads is its final per-shard structural compute share
+	// (NodeWeights-weighted when weights are set, node-count otherwise,
+	// summing to 1).
+	Repartitions int
+	ShardLoads   []float64
+	// Model and Opt are rank 0's trained replica and optimizer. Parameters
+	// are bitwise identical on every worker and propagator-independent, so
+	// this pair is the run's checkpointable state and the warm handle
+	// inference serves from.
 	Model nn.SeqModel
 	Opt   *nn.Adam
 	// Cancelled reports that Config.Ctx was cancelled and the run stopped at
@@ -339,15 +365,15 @@ func ParameterGradBytes(params []*nn.Parameter) int64 {
 	return n
 }
 
-// NewGradSync assembles one worker's bucketed-overlap gradient machinery —
-// the glue shared by ddp.Train and shard.Train: the per-parameter fp16
-// codec map (nil without compression), the initial OverlapSyncer over the
-// given collective, and, when autotune is set, the first-epoch BucketSweep.
+// newGradSync assembles one worker's bucketed-overlap gradient machinery
+// for every grid shape: the per-parameter fp16 codec map (nil without
+// compression), the initial OverlapSyncer over the given collective, and,
+// when autotune is set, the first-epoch BucketSweep.
 // bucketBytes <= 0 selects DefaultBucketBytes; the returned cap is the one
 // the initial syncer runs with (the sweep's first candidate under
 // autotune). onLock fires once, on rank 0 only, when the sweep locks its
 // winner.
-func NewGradSync(w *cluster.Worker, net cluster.NetworkModel, params []*nn.Parameter, launch LaunchFunc, fp16, autotune bool, bucketBytes int64, onLock func(bucketBytes int64)) (*BucketSweep, *OverlapSyncer, int64) {
+func newGradSync(w *cluster.Worker, net cluster.NetworkModel, params []*nn.Parameter, launch LaunchFunc, fp16, autotune bool, bucketBytes int64, onLock func(bucketBytes int64)) (*BucketSweep, *OverlapSyncer, int64) {
 	if bucketBytes <= 0 {
 		bucketBytes = DefaultBucketBytes
 	}
@@ -430,9 +456,9 @@ type LaunchFunc func(vec []float64, wireBytes int64) time.Duration
 // pluggable LaunchFunc, recording the measured backward offset of the
 // launch; after backward the syncer scatters the reduced buckets back and
 // converts the measured launch timeline into the overlapped virtual-time
-// charge. ddp.Train plugs in the flat-world ring/hierarchical AllReduce;
-// shard.Train plugs in the grouped two-stage (replica-sum then shard-mean)
-// collective of the hybrid grid.
+// charge. TrainGrid plugs in the flat-world ring/hierarchical AllReduce on
+// the unsharded grid and the grouped two-stage (replica-sum then
+// shard-mean) collective on a sharded one.
 type OverlapSyncer struct {
 	launch  LaunchFunc
 	fp16    bool
@@ -611,17 +637,7 @@ func (s *OverlapSyncer) Timeline(compute, fwdWall, bwdWall time.Duration) []clus
 	return s.events
 }
 
-// Finish converts the step's launch timeline into the overlapped virtual
-// duration: the collectives serialize on one communication channel, each
-// starting no earlier than its Timeline ReadyAt, and the step ends at
-// max(compute, last comm finish). Returns the total step duration and the
-// exposed (non-hidden) communication tail.
-func (s *OverlapSyncer) Finish(compute, fwdWall, bwdWall time.Duration) (step, exposed time.Duration) {
-	step = cluster.OverlapFinish(compute, s.Timeline(compute, fwdWall, bwdWall))
-	return step, step - compute
-}
-
-// ModeledFinish is Finish on the structural timeline (cumulative-elements
+// ModeledFinish is the overlapped step duration on the structural timeline (cumulative-elements
 // ready fractions, 1:2 forward/backward split): a measurement-free figure of
 // merit the bucket autotuner can score reproducibly.
 func (s *OverlapSyncer) ModeledFinish(compute time.Duration) time.Duration {
@@ -666,530 +682,17 @@ func (s *OverlapSyncer) LaunchBuckets() []int { return s.order }
 func (s *OverlapSyncer) LaunchWire() []int64 { return s.wire }
 
 // Train runs distributed data-parallel training of factory-built replicas
-// over the index dataset. All workers see identical initialization and the
-// deterministic sampler schedule, so the run is reproducible bit-for-bit.
+// over the index dataset: the 1 x cfg.Workers grid of TrainGrid, every
+// replica holding the whole graph.
 func Train(data *batching.IndexDataset, split batching.Split, factory ModelFactory, cfg Config) (*Result, error) {
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("ddp: need >= 1 worker, got %d", cfg.Workers)
-	}
-	if cfg.BatchSize < 1 {
-		return nil, fmt.Errorf("ddp: need batch size >= 1, got %d", cfg.BatchSize)
-	}
-	if cfg.Epochs < 1 {
-		return nil, fmt.Errorf("ddp: need >= 1 epoch, got %d", cfg.Epochs)
-	}
-	if cfg.Store != nil && cfg.RemoteFetch {
-		return nil, fmt.Errorf("ddp: Store and RemoteFetch are mutually exclusive data paths")
-	}
-	if cfg.Store != nil && cfg.Store.Workers() != cfg.Workers {
-		return nil, fmt.Errorf("ddp: store partitioned for %d workers, run has %d", cfg.Store.Workers(), cfg.Workers)
-	}
-	if len(split.Train) < cfg.Workers {
-		return nil, fmt.Errorf("ddp: %d training snapshots cannot feed %d workers", len(split.Train), cfg.Workers)
-	}
-	if err := cfg.Faults.Validate(cfg.Workers); err != nil {
-		return nil, fmt.Errorf("ddp: %w", err)
-	}
-	clu, err := cluster.New(cluster.Config{Workers: cfg.Workers, Net: cfg.Net, IntraNet: cfg.IntraNet, Faults: cfg.Faults})
-	if err != nil {
-		return nil, err
-	}
-
-	// Resolve the collective algorithm: the legacy Sync knob maps onto the
-	// flat algorithm when Algo is unset.
-	algo := cfg.Algo
-	if algo == GradAlgoRing && cfg.Sync == SyncFlatten {
-		algo = GradAlgoFlat
-	}
-
-	lr := cfg.LR
-	if lr <= 0 {
-		lr = 0.01
-	}
-	if cfg.UseLRScaling {
-		lr = nn.ScaleLR(lr, cfg.Workers)
-	}
-
-	type workerOut struct {
-		curve       metrics.Curve
-		vt          time.Duration
-		comm        time.Duration
-		hidden      time.Duration
-		bytes       int64
-		saved       int64
-		steps       int
-		buckets     int
-		bucketBytes int64
-		checksum    float64
-		cancelled   bool
-		model       nn.SeqModel
-		opt         *nn.Adam
-	}
-	outs := make([]workerOut, cfg.Workers)
-	// A cancellable context is polled through an agreed per-step collective;
-	// plain contexts add nothing to the step so legacy timelines are
-	// untouched.
-	cancellable := cfg.Ctx != nil && cfg.Ctx.Done() != nil
-
-	net := clu.Net()
-	runErr := clu.Run(func(w *cluster.Worker) error {
-		rank := w.Rank()
-		tw := cfg.Trace.Worker(rank)
-		cfg.Trace.NameWorker(rank, fmt.Sprintf("ddp worker %d", rank))
-		model := factory(cfg.Seed)
-		params := model.Parameters()
-		opt := nn.NewAdam(model, lr)
-		if cfg.Init != nil {
-			if err := cfg.Init(model, opt); err != nil {
-				return fmt.Errorf("ddp: rank %d init: %w", rank, err)
-			}
-		}
-		sampler := NewSampler(cfg.Sampler, split.Train, cfg.BatchSize, cfg.Workers, rank, cfg.Seed)
-		// This worker's validation batches, fixed for the whole run.
-		evalLo, evalHi := batching.PartitionRange(len(split.Val), cfg.Workers, rank)
-		evalBatches := batching.Batches(split.Val[evalLo:evalHi], cfg.BatchSize)
-		// The train loop's batches live in the prefetcher's double buffer (or
-		// buf on the serial path); evaluation gets its own buffer so eval
-		// assembly never clobbers a slot the train pipeline still owns.
-		var buf, evalBuf batching.BatchBuffer
-		var gradBuf []float64
-
-		// One prefetcher per epoch; closed on every exit path (the deferred
-		// close covers error returns and cancellation). The eval prefetcher
-		// spins up under the epoch's last train step so the first validation
-		// batch is resident when the tail eval pass begins.
-		prefetch := cfg.Prefetch && cfg.Store == nil
-		var pf, evalPf *batching.Prefetcher
-		defer func() {
-			if pf != nil {
-				pf.Close()
-			}
-			if evalPf != nil {
-				evalPf.Close()
-			}
-		}()
-		// nextAsmOf prices what the background collator works on under step
-		// s: the next train batch, or — on the epoch's last step — the first
-		// eval batch the tail-overlap prefetcher is filling. Zero on the
-		// serial path.
-		nextAsmOf := func(s, stepsThisEpoch, items int) time.Duration {
-			if pf == nil || cfg.AssembleCost == nil || cfg.Store != nil {
-				return 0
-			}
-			if s+1 < stepsThisEpoch {
-				return cfg.AssembleCost(items)
-			}
-			if evalPf != nil {
-				return cfg.AssembleCost(len(evalBatches[0]))
-			}
-			return 0
-		}
-		// chargeAssemble folds the modeled collation cost into the step: the
-		// serial path pays it ahead of every step; the pipeline assembles the
-		// next batch (or the first eval batch) under this step
-		// (max(step, assemble)), exposing only the epoch's leading assembly
-		// (charged at s == 0 before the step).
-		chargeAssemble := func(s, stepsThisEpoch, items int, step time.Duration) time.Duration {
-			if cfg.AssembleCost == nil || cfg.Store != nil {
-				return step
-			}
-			if pf == nil {
-				return step + cfg.AssembleCost(items)
-			}
-			if s == 0 {
-				// Pipeline fill: the epoch's leading assembly has no
-				// previous step to hide under.
-				asm := cfg.AssembleCost(items)
-				tw.Span(trace.KindAssemble, "assemble.fill", trace.StreamAssembly, w.VirtualTime(), asm, 0)
-				w.AdvanceTime(asm)
-			}
-			if next := nextAsmOf(s, stepsThisEpoch, items); next > step {
-				return next
-			}
-			return step
-		}
-		// asmOf mirrors chargeAssemble's cost lookup for span rendering.
-		asmOf := func(items int) time.Duration {
-			if cfg.AssembleCost == nil || cfg.Store != nil {
-				return 0
-			}
-			return cfg.AssembleCost(items)
-		}
-		var flatCodec cluster.FP16Codec
-		var comm, hidden time.Duration
-		var curve metrics.Curve
-		var totalBytes, savedBytes int64
-		steps := 0
-
-		// Bucketed overlap only pays off with real peers; a single worker
-		// has nothing to exchange and keeps the plain path.
-		overlap := algo != GradAlgoFlat && cfg.Workers > 1
-		bucketBytes := cfg.BucketBytes
-		if bucketBytes <= 0 {
-			bucketBytes = DefaultBucketBytes
-		}
-		var syncer *OverlapSyncer
-		var sweep *BucketSweep
-		if overlap {
-			// The flat-world collective stack: ring or hierarchical.
-			launch := func(vec []float64, wireBytes int64) time.Duration {
-				if algo == GradAlgoHierarchical {
-					return w.AsyncHierarchicalAllReduceMeanSized(vec, cfg.Topology, wireBytes)
-				}
-				return w.AsyncRingAllReduceMeanSized(vec, wireBytes)
-			}
-			sweep, syncer, bucketBytes = NewGradSync(w, clu.Net(), params, launch, cfg.FP16, cfg.AutoTuneBuckets, cfg.BucketBytes, cfg.OnAutotuneLock)
-		}
-
-		// Per-batch byte volume for the baseline-DDP fetch path: x and y.
-		n, f := data.Data.Dim(1), data.Data.Dim(2)
-		batchBytes := int64(cfg.BatchSize) * int64(2*data.Horizon) * int64(n) * int64(f) * 8
-
-		// Epoch-boundary recovery points (rank 0, only when a consumer
-		// listens): the initial one covers a crash inside the first epoch.
-		capture := func(nextEpoch int, curve metrics.Curve) {
-			if rank != 0 || cfg.OnSnapshot == nil {
-				return
-			}
-			cfg.OnSnapshot(Snapshot{
-				NextEpoch:   nextEpoch,
-				Params:      nn.SnapshotParams(model),
-				State:       nn.CaptureTrainState(opt, nextEpoch),
-				Curve:       append(metrics.Curve(nil), curve...),
-				VirtualTime: w.VirtualTime(),
-			})
-		}
-		capture(cfg.StartEpoch, nil)
-
-		cancelled := false
-		for epoch := cfg.StartEpoch; epoch < cfg.Epochs; epoch++ {
-			batches := sampler.EpochBatches(epoch)
-			// Equalize step counts across workers so collectives line up.
-			stepsThisEpoch := int(w.AllReduceScalar(float64(len(batches)), cluster.OpMin))
-			if prefetch {
-				pf = batching.NewPrefetcher(data, batches[:stepsThisEpoch])
-			}
-			var trainAcc metrics.Running
-			for s := 0; s < stepsThisEpoch; s++ {
-				if cancellable {
-					// Agree on cancellation before the step starts: every
-					// worker stops at the same step, so no collective is
-					// left half-issued. The poll is clock-free, so a
-					// cancellable run keeps the exact modeled timeline of a
-					// plain one.
-					flag := 0.0
-					if cfg.Ctx.Err() != nil {
-						flag = 1
-					}
-					if w.AllReduceScalarFree(flag, cluster.OpMax) > 0 {
-						cancelled = true
-						break
-					}
-				}
-				// Crash detection rides the same agreed step boundary as the
-				// cancellation poll: every rank returns the same typed error,
-				// so no collective is left half-issued.
-				if err := w.FaultPoll(); err != nil {
-					return err
-				}
-				idx := batches[s]
-				var x, y *tensor.Tensor
-				if cfg.Store != nil {
-					var remote int64
-					x, y, _, remote = cfg.Store.FetchBatch(rank, idx, &buf)
-					if remote > 0 {
-						if tw != nil {
-							cost := net.FetchTime(remote)
-							tw.Span(trace.KindFetch, "fetch.boundary", trace.StreamCommInter, w.VirtualTime(), cost, remote)
-							tw.Span(trace.KindExposed, "fetch.boundary", trace.StreamExposed, w.VirtualTime(), cost, 0)
-						}
-						w.FetchRemote(remote)
-						comm += net.FetchTime(remote)
-					}
-				} else if cfg.RemoteFetch {
-					if tw != nil {
-						cost := net.FetchTime(batchBytes)
-						tw.Span(trace.KindFetch, "fetch.batch", trace.StreamCommInter, w.VirtualTime(), cost, batchBytes)
-						tw.Span(trace.KindExposed, "fetch.batch", trace.StreamExposed, w.VirtualTime(), cost, 0)
-					}
-					w.FetchRemote(batchBytes)
-					comm += net.FetchTime(batchBytes)
-				}
-				if pf != nil {
-					// Pipelined path: receive the pre-assembled batch before
-					// the timed span starts (waiting for the collator is
-					// assembly, not compute).
-					var ok bool
-					x, y, ok = pf.Next()
-					if !ok {
-						return fmt.Errorf("ddp: rank %d: prefetcher exhausted at step %d of %d", rank, s, stepsThisEpoch)
-					}
-					if s == stepsThisEpoch-1 && len(evalBatches) > 0 {
-						// Tail overlap: the epoch's last train step has no next
-						// train batch, so the collator assembles the first
-						// validation batch under it instead.
-						evalPf = batching.NewPrefetcher(data, evalBatches)
-					}
-				}
-				start := time.Now()
-				if cfg.Store == nil && pf == nil {
-					x, y = data.AssembleBatch(idx, &buf)
-				}
-				target := y.Slice(3, 0, 1).Contiguous()
-				pred := model.Forward(autograd.Constant(x))
-				loss := autograd.MAELoss(pred, target)
-				if overlap {
-					// Bucketed overlapping sync: bucket AllReduces launch
-					// from the timed gradient-ready hook while backward still
-					// runs; the clock charges max(compute, pipelined comm)
-					// on the measured forward/backward timeline.
-					syncer.Reset()
-					fwdWall := time.Since(start)
-					bwdWall, err := autograd.BackwardTimed(loss, syncer.OnGradReady)
-					if err != nil {
-						return fmt.Errorf("ddp: rank %d backward: %w", rank, err)
-					}
-					// Like the ReadyAt stamps, the backward span excludes
-					// time blocked inside collective launches.
-					bwdWall -= syncer.CommWall()
-					if bwdWall < 0 {
-						bwdWall = 0
-					}
-					syncer.Flush(bwdWall)
-					// Gradients are now globally averaged; clipping acts on
-					// the averaged gradients (torch-DDP semantics).
-					if cfg.ClipNorm > 0 {
-						nn.ClipGradNorm(model, cfg.ClipNorm)
-					}
-					var compute time.Duration
-					if cfg.ComputeCost != nil {
-						// Fully-modeled run (paper-scale estimates, bench
-						// regression gate): keep the timeline structural so
-						// the virtual clock is machine-independent — never
-						// mix measured wall fractions into modeled time.
-						compute = cfg.ComputeCost(len(idx))
-						fwdWall, bwdWall = 0, 0
-					} else {
-						// Real elapsed minus the wall time spent blocked in
-						// collective launches (that is comm, not compute).
-						compute = time.Since(start) - syncer.CommWall()
-						if compute < 0 {
-							compute = 0
-						}
-					}
-					compute = w.ScaleCompute(compute)
-					overlapStep, exposed := syncer.Finish(compute, fwdWall, bwdWall)
-					step := chargeAssemble(s, stepsThisEpoch, len(idx), overlapStep)
-					t0 := w.VirtualTime()
-					if tw != nil {
-						// The step body starts after the serially-exposed
-						// assembly; prefetch assembly is occupancy under it.
-						asm, base := asmOf(len(idx)), t0
-						name := "assemble"
-						if pf != nil {
-							asm = nextAsmOf(s, stepsThisEpoch, len(idx))
-							name = "assemble.next"
-							if s+1 >= stepsThisEpoch {
-								name = "assemble.eval"
-							}
-						} else {
-							base += asm
-						}
-						if asm > 0 {
-							tw.Span(trace.KindAssemble, name, trace.StreamAssembly, t0, asm, 0)
-						}
-						tw.Span(trace.KindCompute, "compute", trace.StreamCompute, base, compute, 0)
-						lb, lw := syncer.LaunchBuckets(), syncer.LaunchWire()
-						spans, _ := cluster.OverlapScheduleChannels(compute, syncer.Timeline(compute, fwdWall, bwdWall))
-						for i, sp := range spans {
-							tw.Span(trace.KindGrad, fmt.Sprintf("grad b%d", lb[i]), trace.StreamCommInter, base+sp.Start, sp.Finish-sp.Start, lw[i])
-						}
-						if exposed > 0 {
-							tw.Span(trace.KindExposed, "comm.tail", trace.StreamExposed, base+compute, exposed, 0)
-						}
-						tw.Span(trace.KindStep, fmt.Sprintf("step %d", steps), trace.StreamStep, t0, step, 0)
-					}
-					w.AdvanceTime(step)
-					w.Barrier() // straggler wait, as the synchronous step ends
-					comm += exposed
-					hidden += syncer.TotalCost() - exposed
-					totalBytes += syncer.StepBytes()
-					savedBytes += syncer.StepSaved()
-					if sweep.Active() {
-						syncer = sweep.Step(syncer, compute)
-						bucketBytes = sweep.BucketBytes()
-					}
-				} else {
-					// Flatten baseline: one monolithic AllReduce after
-					// backward, communication fully exposed.
-					if err := autograd.Backward(loss); err != nil {
-						return fmt.Errorf("ddp: rank %d backward: %w", rank, err)
-					}
-					if cfg.ClipNorm > 0 {
-						nn.ClipGradNorm(model, cfg.ClipNorm)
-					}
-					var compute, asm, step time.Duration
-					if cfg.ComputeCost != nil {
-						compute = w.ScaleCompute(cfg.ComputeCost(len(idx)))
-						asm = asmOf(len(idx))
-						step = chargeAssemble(s, stepsThisEpoch, len(idx), compute)
-					} else {
-						compute = w.ScaleCompute(time.Since(start))
-						step = compute
-					}
-					t0 := w.VirtualTime()
-					if tw != nil {
-						base := t0
-						name := "assemble"
-						if pf != nil {
-							asm = nextAsmOf(s, stepsThisEpoch, len(idx))
-							name = "assemble.next"
-							if s+1 >= stepsThisEpoch {
-								name = "assemble.eval"
-							}
-						} else {
-							base += asm
-						}
-						if asm > 0 {
-							tw.Span(trace.KindAssemble, name, trace.StreamAssembly, t0, asm, 0)
-						}
-						tw.Span(trace.KindCompute, "compute", trace.StreamCompute, base, compute, 0)
-					}
-					w.AdvanceTime(step)
-					gradBuf = FlattenGrads(params, gradBuf)
-					wire := int64(len(gradBuf)) * 8
-					// Quantize only when there are peers: a single worker
-					// ships nothing, so rounding its gradients to fp16
-					// would be pure accuracy loss for zero wire benefit.
-					if cfg.FP16 && cfg.Workers > 1 {
-						flatCodec.ApplyInPlace(gradBuf)
-						compressed := cluster.FP16WireBytes(len(gradBuf))
-						savedBytes += wire - compressed
-						wire = compressed
-					}
-					w.RingAllReduceMeanSized(gradBuf, wire)
-					// Attribute the modeled collective cost (the clock delta
-					// additionally contains straggler wait, which is compute
-					// imbalance, not communication).
-					if cfg.Workers > 1 {
-						cost := net.RingAllReduceTime(wire, cfg.Workers)
-						comm += cost
-						if tw != nil {
-							// The synchronized collective aligned the clock
-							// to the slowest worker plus the cost, so its
-							// window ends at the current virtual time.
-							at := w.VirtualTime() - cost
-							tw.Span(trace.KindGrad, "grad.flatten", trace.StreamCommInter, at, cost, wire)
-							tw.Span(trace.KindExposed, "grad.flatten", trace.StreamExposed, at, cost, 0)
-						}
-					}
-					totalBytes += wire
-					UnflattenGrads(params, gradBuf)
-					if tw != nil {
-						tw.Span(trace.KindStep, fmt.Sprintf("step %d", steps), trace.StreamStep, t0, w.VirtualTime()-t0, 0)
-					}
-				}
-				opt.Step()
-				steps++
-				// Report in the signal's original units, like validation.
-				trainAcc.Add(loss.Value.Item()*data.Std, len(idx))
-			}
-			if pf != nil {
-				// Drain the collator before eval (and before the next epoch
-				// builds a fresh one); on cancellation it may still be
-				// mid-stream, which Close handles.
-				pf.Close()
-				pf = nil
-			}
-			if cancelled {
-				// Mid-epoch stop (agreed above): drop the partial epoch's
-				// metrics — the curve holds completed epochs only.
-				break
-			}
-			// The sweep is confined to the first epoch: a short epoch locks
-			// in the best candidate tried so far.
-			if sweep.Active() {
-				syncer = sweep.EndEpoch(syncer)
-				bucketBytes = sweep.BucketBytes()
-			}
-			// Epoch metrics: weighted AllReduce of train loss and val MAE
-			// (the validation AllReduce the paper lists as DDP overhead).
-			trainMAE := ReduceWeighted(w, trainAcc)
-			valMAE := evaluateShard(w, model, data, evalBatches, evalPf, &evalBuf)
-			if evalPf != nil {
-				evalPf.Close()
-				evalPf = nil
-			}
-			rec := metrics.EpochRecord{Epoch: epoch, TrainMAE: trainMAE, ValMAE: valMAE}
-			curve = append(curve, rec)
-			if rank == 0 && cfg.OnEpoch != nil {
-				cfg.OnEpoch(rec)
-			}
-			capture(epoch+1, curve)
-		}
-		var checksum float64
-		for _, p := range params {
-			checksum += p.Tensor().SumAll()
-		}
-		w.Barrier()
-		buckets := 1
-		effectiveBucketBytes := int64(0)
-		if overlap {
-			buckets = syncer.NumBuckets()
-			effectiveBucketBytes = bucketBytes
-		}
-		if tw != nil {
-			tw.Add("grad.wire.bytes", totalBytes)
-			tw.Add("grad.wire.saved.bytes", savedBytes)
-			tw.Add("comm.exposed.ns", int64(comm))
-			tw.Add("comm.hidden.ns", int64(hidden))
-			// The flat world has no intra-node channel: every collective
-			// rides the fabric.
-			tw.Add("comm.exposed.inter.ns", int64(comm))
-		}
-		outs[rank] = workerOut{
-			curve: curve, vt: w.VirtualTime(), comm: comm, hidden: hidden,
-			bytes: totalBytes, saved: savedBytes, steps: steps,
-			buckets: buckets, bucketBytes: effectiveBucketBytes, checksum: checksum,
-			cancelled: cancelled,
-		}
-		if rank == 0 {
-			outs[rank].model, outs[rank].opt = model, opt
-		}
-		return nil
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	// Replicas must have remained identical.
-	for r := 1; r < cfg.Workers; r++ {
-		if outs[r].checksum != outs[0].checksum {
-			return nil, fmt.Errorf("ddp: replica divergence: rank %d checksum %v vs rank 0 %v", r, outs[r].checksum, outs[0].checksum)
-		}
-	}
-	return &Result{
-		Curve:          outs[0].curve,
-		VirtualTime:    outs[0].vt,
-		CommTime:       outs[0].comm,
-		CommHiddenTime: outs[0].hidden,
-		GradSyncBytes:  outs[0].bytes,
-		CommBytesSaved: outs[0].saved,
-		Steps:          outs[0].steps,
-		GradBuckets:    outs[0].buckets,
-		Algo:           algo,
-		BucketBytes:    outs[0].bucketBytes,
-		GlobalBatch:    cfg.BatchSize * cfg.Workers,
-		Model:          outs[0].model,
-		Opt:            outs[0].opt,
-		Cancelled:      outs[0].cancelled,
-	}, nil
+	return TrainGrid(data, split, cfg, Grid{Bind: func(_ *cluster.Worker, _ []int, seed uint64) (nn.SeqModel, Shard) {
+		return factory(seed), nil
+	}})
 }
 
-// NewSampler builds one worker's deterministic batch sampler for the
-// shuffling strategy (shared with the spatial-sharding trainer, whose
-// replicas sample exactly like DDP workers).
-func NewSampler(kind SamplerKind, train []int, batchSize, workers, rank int, seed uint64) batching.BatchSampler {
+// newSampler builds one replica's deterministic batch sampler for the
+// shuffling strategy (the shards of a replica group sample alike).
+func newSampler(kind SamplerKind, train []int, batchSize, workers, rank int, seed uint64) batching.BatchSampler {
 	switch kind {
 	case LocalShuffle:
 		return batching.NewLocalShuffler(train, batchSize, workers, rank, seed)
@@ -1200,37 +703,13 @@ func NewSampler(kind SamplerKind, train []int, batchSize, workers, rank int, see
 	}
 }
 
-// ReduceWeighted AllReduces a weighted Running accumulator into the global
-// weighted mean (shared with the spatial-sharding trainer).
-func ReduceWeighted(w *cluster.Worker, acc metrics.Running) float64 {
+// reduceWeighted AllReduces a weighted Running accumulator into the global
+// weighted mean.
+func reduceWeighted(w *cluster.Worker, acc metrics.Running) float64 {
 	sum := w.AllReduceScalar(acc.Mean()*float64(acc.Count()), cluster.OpSum)
 	count := w.AllReduceScalar(float64(acc.Count()), cluster.OpSum)
 	if count == 0 {
 		return 0
 	}
 	return sum / count
-}
-
-// evaluateShard computes this worker's share of the validation MAE and
-// AllReduces the weighted mean (in original units, un-z-scored). When a
-// tail-overlap prefetcher is handed in, batches stream from it (falling back
-// to serial assembly if it drains early, e.g. after a mid-run Close).
-func evaluateShard(w *cluster.Worker, model nn.SeqModel, data *batching.IndexDataset, batches [][]int, pf *batching.Prefetcher, buf *batching.BatchBuffer) float64 {
-	var acc metrics.Running
-	for _, batch := range batches {
-		var x, y *tensor.Tensor
-		if pf != nil {
-			var ok bool
-			if x, y, ok = pf.Next(); !ok {
-				x, y = data.AssembleBatch(batch, buf)
-			}
-		} else {
-			x, y = data.AssembleBatch(batch, buf)
-		}
-		target := y.Slice(3, 0, 1).Contiguous()
-		pred := model.Forward(autograd.Constant(x))
-		// Report MAE in the signal's original units.
-		acc.Add(metrics.MAE(pred.Value, target)*data.Std, len(batch))
-	}
-	return ReduceWeighted(w, acc)
 }

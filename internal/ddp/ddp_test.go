@@ -506,3 +506,23 @@ func TestBucketedOverlapDeterministicAndConsistent(t *testing.T) {
 		}
 	}
 }
+
+// TestSingleWorkerShipsNoGradients: a 1-worker grid has no peer to
+// exchange with, so it reports no gradient traffic, no fp16 savings and no
+// communication time, whatever the configured schedule.
+func TestSingleWorkerShipsNoGradients(t *testing.T) {
+	data, split, factory := testSetup(t, 70, 6, 3)
+	for _, algo := range []GradAlgo{GradAlgoRing, GradAlgoFlat, GradAlgoHierarchical} {
+		res, err := Train(data, split, factory, Config{
+			Workers: 1, BatchSize: 4, Epochs: 1, LR: 0.01, Seed: 4, Algo: algo, FP16: true,
+			ComputeCost: func(int) time.Duration { return time.Millisecond },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Steps == 0 || res.GradSyncBytes != 0 || res.CommBytesSaved != 0 || res.CommTime != 0 {
+			t.Fatalf("%v: %d steps report %d gradient bytes, %d saved, %v comm; want none",
+				algo, res.Steps, res.GradSyncBytes, res.CommBytesSaved, res.CommTime)
+		}
+	}
+}

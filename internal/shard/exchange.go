@@ -6,6 +6,7 @@ import (
 
 	"pgti/internal/autograd"
 	"pgti/internal/cluster"
+	"pgti/internal/ddp"
 	"pgti/internal/nn"
 	"pgti/internal/sparse"
 	"pgti/internal/tensor"
@@ -333,14 +334,6 @@ func payloadBytes(sends []cluster.NeighborSend) int64 {
 	return b
 }
 
-// commStream maps a modeled comm channel onto its trace export lane.
-func commStream(ch cluster.Channel) int {
-	if ch == cluster.ChannelIntra {
-		return trace.StreamCommIntra
-	}
-	return trace.StreamCommInter
-}
-
 // charge records a blocking exchange against the stats and the virtual
 // clock: the full cost is exposed inline, so the trace gets the halo span
 // and its exposed twin at the charge point.
@@ -351,7 +344,7 @@ func (e *Exchanger) charge(sends []cluster.NeighborSend, cost time.Duration) {
 	e.stats.ChannelExposed[e.stats.Channel] += cost
 	if tw := e.stats.Trace; tw != nil {
 		at := e.w.VirtualTime()
-		tw.Span(trace.KindHalo, "halo.blocking", commStream(e.stats.Channel), at, cost, bytes)
+		tw.Span(trace.KindHalo, "halo.blocking", ddp.CommStream(e.stats.Channel), at, cost, bytes)
 		tw.Span(trace.KindExposed, "halo.blocking", trace.StreamExposed, at, cost, 0)
 	}
 	e.w.AdvanceTime(cost)

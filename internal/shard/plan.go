@@ -6,6 +6,12 @@
 // process grid — gradient AllReduce runs within a shard group, halo exchange
 // within a replica group — so the node dimension N scales beyond one
 // worker's memory, the axis index-batching alone cannot shrink.
+//
+// The step/epoch loop is ddp.TrainGrid's, shared with plain DDP (the 1 x W
+// grid): this package supplies the node-partition half of each worker — its
+// plan block, halo-exchanging propagators, halo accounting, evaluation
+// settle, elastic repartitioning and the snapshot owner vector — as a
+// ddp.Shard, and NewGrid lowers a Config onto the grid trainer.
 package shard
 
 import (

@@ -3,10 +3,8 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
-	"pgti/internal/autograd"
 	"pgti/internal/batching"
 	"pgti/internal/cluster"
 	"pgti/internal/ddp"
@@ -15,7 +13,6 @@ import (
 	"pgti/internal/metrics"
 	"pgti/internal/nn"
 	"pgti/internal/sparse"
-	"pgti/internal/tensor"
 	"pgti/internal/trace"
 )
 
@@ -97,14 +94,8 @@ type Config struct {
 	// Prefetch the next batch's assembly runs under the current step and
 	// only the epoch's leading assembly is exposed.
 	AssembleCost func(batchItems int) time.Duration
-	// Staleness bounds the gradient pipeline depth: when K > 0 (bucketed
-	// sync only), the two-stage collective still launches every step, but
-	// the optimizer applies each synchronized gradient up to K steps late
-	// with the staleness-compensated extrapolation g + K*(g - g_prev), so
-	// the sync cost hides under the following K steps' compute instead of
-	// the step's own tail. The queue drains at epoch end (and on
-	// cancellation), so every gradient is applied exactly once and replicas
-	// stay bitwise identical; zero keeps the synchronous schedule.
+	// Staleness bounds the gradient pipeline depth (bucketed sync only;
+	// see ddp.Grid.Staleness); zero keeps the synchronous schedule.
 	Staleness int
 	// Plan, when set, supplies a prebuilt partition (callers that need the
 	// shard sizes up front, e.g. for memory accounting, build it once and
@@ -185,87 +176,19 @@ type Config struct {
 // Snapshot is a consistent epoch-boundary capture of a hybrid run: enough
 // state to restart training at NextEpoch on any grid and reproduce the
 // continuation bitwise (parameters and optimizer moments are identical on
-// every worker at epoch boundaries, so rank 0's copy is the global state).
-type Snapshot struct {
-	// NextEpoch is the absolute index of the first epoch a restart from this
-	// snapshot runs.
-	NextEpoch int
-	// Params is a deep copy of the model parameters.
-	Params [][]float64
-	// State carries the optimizer moments and step count.
-	State *nn.TrainState
-	// Curve is the epoch records completed so far.
-	Curve metrics.Curve
-	// Owner is the node->shard assignment in force at the capture point
-	// (elastic chunk migrations may have moved it off the initial plan).
-	Owner []int
-	// VirtualTime is worker 0's synchronized clock at the capture point.
-	VirtualTime time.Duration
-}
+// every worker at epoch boundaries, so rank 0's copy plus the owner vector
+// is the global state).
+type Snapshot = ddp.Snapshot
 
-// Result summarizes a hybrid run.
+// Result summarizes a hybrid run: the grid trainer's figures plus the
+// initial partition's shape.
 type Result struct {
-	Curve metrics.Curve
-	// VirtualTime is worker 0's synchronized virtual clock at completion.
-	VirtualTime time.Duration
-	// CommTime is the *exposed* modeled gradient-synchronization cost (both
-	// stages) from worker 0's perspective — bucketed-overlap cost hidden
-	// under compute does not appear here; halo traffic is reported
-	// separately.
-	CommTime time.Duration
-	// CommHiddenTime is the modeled gradient-sync cost the bucketed overlap
-	// hid under step compute (zero for SyncFlatten).
-	CommHiddenTime time.Duration
-	// HaloTime / HaloBytes are worker 0's modeled halo-exchange cost and
-	// wire traffic across forward and backward passes; HaloHiddenTime is
-	// the portion of HaloTime the interior-first overlap hid under compute
-	// (zero for HaloSyncBlocking).
-	HaloTime       time.Duration
-	HaloHiddenTime time.Duration
-	HaloBytes      int64
-	// CommExposedIntra / CommExposedInter split worker 0's exposed
-	// communication by modeled channel: each is the time that channel's
-	// traffic (halo or gradient) extended past compute or was charged
-	// inline. The two tails run concurrently, so their sum can exceed the
-	// total exposed time (which is the per-step max, not the sum).
-	CommExposedIntra time.Duration
-	CommExposedInter time.Duration
-	// GradSyncBytes is worker 0's gradient wire traffic (per bucketed
-	// collective: the bucket's wire size, compressed under FP16; per
-	// flatten stage: the full vector's wire size).
-	GradSyncBytes int64
-	// CommBytesSaved is the gradient traffic avoided by fp16 compression.
-	CommBytesSaved int64
-	// GradBuckets is the per-step gradient bucket count (1 for
-	// SyncFlatten); BucketBytes is the effective bucket cap (the autotuned
-	// winner when AutoTuneBuckets is set, 0 for SyncFlatten).
-	GradBuckets int
-	BucketBytes int64
-	Steps       int
-	GlobalBatch int
-	Shards      int
-	Replicas    int
+	ddp.Result
+	Shards   int
+	Replicas int
 	// EdgeCut, MaxOwn and MaxHalo describe the initial partition
 	// (halo-traffic and memory-balance proxies; MaxOwn ~ ceil(N/Shards)).
 	EdgeCut, MaxOwn, MaxHalo int
-	// Repartitions counts the elastic chunk migrations applied during the
-	// run (0 when Config.Repartition is disabled or never triggered).
-	Repartitions int
-	// ShardLoads is the final per-shard structural compute share
-	// (NodeWeights-weighted when weights are set, node-count otherwise,
-	// summing to 1). The spread max/min over this vector is the
-	// load-balance figure the gated repartition bench reports: elastic
-	// migration must leave it tighter than the loads it started from.
-	ShardLoads []float64
-	// Model and Opt are rank 0's trained replica (over shard 0's
-	// propagators) and optimizer. Parameters are identical on every worker
-	// and propagator-independent, so they load into a full-graph model of
-	// the same architecture.
-	Model nn.SeqModel
-	Opt   *nn.Adam
-	// Cancelled reports that Config.Ctx was cancelled and the grid stopped
-	// at an agreed step.
-	Cancelled bool
 }
 
 // Train runs hybrid spatial x data parallel training: the graph is
@@ -273,884 +196,245 @@ type Result struct {
 // replicas is spread over one replica group of shard workers, halo rows
 // travel within replica groups during forward/backward, and gradients are
 // summed across each replica group then averaged across shard groups. The
-// result matches the unsharded run within floating-point reassociation.
+// result matches the unsharded run within floating-point reassociation; the
+// 1 x W grid is plain DDP over whole-graph replicas.
 //
 // By default both communication legs overlap with compute: halo exchanges
 // run interior-first (HaloSyncOverlap) and gradient buckets launch
 // mid-backward (SyncBucketedOverlap); the virtual clock charges each step
-// max(compute, pipelined comm) with every launch serialized on one modeled
+// max(compute, pipelined comm) with every launch serialized on its modeled
 // communication channel. The blocking schedules remain selectable for
 // ablation and are bitwise-equivalent in training results where the
 // collective chunking coincides (the halo schedules always are).
 func Train(data *batching.IndexDataset, split batching.Split, g *graph.Graph, supports []*sparse.CSR, factory ModelFactory, cfg Config) (*Result, error) {
-	if cfg.Shards < 1 || cfg.Replicas < 1 {
-		return nil, fmt.Errorf("shard: need >= 1 shard and replica, got %dx%d", cfg.Shards, cfg.Replicas)
-	}
-	if cfg.BatchSize < 1 {
-		return nil, fmt.Errorf("shard: need batch size >= 1, got %d", cfg.BatchSize)
-	}
-	if cfg.Epochs < 1 {
-		return nil, fmt.Errorf("shard: need >= 1 epoch, got %d", cfg.Epochs)
-	}
-	if cfg.Staleness < 0 {
-		return nil, fmt.Errorf("shard: staleness bound must be >= 0, got %d", cfg.Staleness)
-	}
-	if len(split.Train) < cfg.Replicas {
-		return nil, fmt.Errorf("shard: %d training snapshots cannot feed %d replicas", len(split.Train), cfg.Replicas)
-	}
-	if data.Data.Dim(1) != g.N {
-		return nil, fmt.Errorf("shard: data has %d nodes, graph %d", data.Data.Dim(1), g.N)
-	}
-	if err := cfg.Repartition.Validate(); err != nil {
+	dcfg, grid, plan, err := NewGrid(data, g, supports, factory, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.NodeWeights != nil && len(cfg.NodeWeights) != g.N {
-		return nil, fmt.Errorf("shard: %d node weights for %d nodes", len(cfg.NodeWeights), g.N)
+	res, err := ddp.TrainGrid(data, split, dcfg, grid)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Result: *res, Shards: cfg.Shards, Replicas: cfg.Replicas,
+		EdgeCut: plan.EdgeCut, MaxOwn: plan.MaxOwn(), MaxHalo: plan.MaxHalo()}, nil
+}
+
+// NewGrid lowers a hybrid configuration onto the grid trainer: the
+// ddp.Config of its data-parallel half (Replicas workers) and the ddp.Grid
+// whose Bind hands every worker its node-partition half, plus the initial
+// plan.
+func NewGrid(data *batching.IndexDataset, g *graph.Graph, supports []*sparse.CSR, factory ModelFactory, cfg Config) (ddp.Config, ddp.Grid, *Plan, error) {
+	fail := func(err error) (ddp.Config, ddp.Grid, *Plan, error) { return ddp.Config{}, ddp.Grid{}, nil, err }
+	switch {
+	case cfg.Shards < 1 || cfg.Replicas < 1:
+		return fail(fmt.Errorf("shard: need >= 1 shard and replica, got %dx%d", cfg.Shards, cfg.Replicas))
+	case data.Data.Dim(1) != g.N:
+		return fail(fmt.Errorf("shard: data has %d nodes, graph %d", data.Data.Dim(1), g.N))
+	case cfg.NodeWeights != nil && len(cfg.NodeWeights) != g.N:
+		return fail(fmt.Errorf("shard: %d node weights for %d nodes", len(cfg.NodeWeights), g.N))
+	}
+	if err := cfg.Repartition.Validate(); err != nil {
+		return fail(err)
 	}
 	plan := cfg.Plan
 	if plan == nil {
 		var err error
-		plan, err = BuildPlan(g, supports, cfg.Shards)
-		if err != nil {
-			return nil, err
+		if plan, err = BuildPlan(g, supports, cfg.Shards); err != nil {
+			return fail(err)
 		}
 	} else if plan.Shards != cfg.Shards || plan.GlobalN != g.N {
-		return nil, fmt.Errorf("shard: plan is %d shards over %d nodes, config wants %d over %d", plan.Shards, plan.GlobalN, cfg.Shards, g.N)
+		return fail(fmt.Errorf("shard: plan is %d shards over %d nodes, config wants %d over %d", plan.Shards, plan.GlobalN, cfg.Shards, g.N))
+	}
+	var totalWeight float64
+	for _, nw := range cfg.NodeWeights {
+		totalWeight += nw
 	}
 	world := cfg.Shards * cfg.Replicas
-	if err := cfg.Faults.Validate(world); err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
+	bind := func(w *cluster.Worker, group []int, seed uint64) (nn.SeqModel, ddp.Shard) {
+		if cfg.Shards == 1 {
+			return factory(seed, nn.WrapSupports(supports)), nil
+		}
+		p := &part{w: w, cfg: &cfg, g: g, supports: supports, group: group, totalWeight: totalWeight,
+			history: int64(data.Data.Dim(0)) * int64(data.Data.Dim(2)) * 8}
+		p.bindPlan(plan)
+		p.stats = &Stats{PinFirstLaunch: cfg.Prefetch, Trace: cfg.Trace.Worker(w.Rank()), Channel: cfg.Topology.GroupChannel(world, group)}
+		p.props = Propagators(w, group, p.sp, cfg.Topology, p.stats, cfg.HaloSync == HaloSyncOverlap)
+		return factory(seed, p.props), p
 	}
-	clu, err := cluster.New(cluster.Config{Workers: world, Net: cfg.Net, IntraNet: cfg.IntraNet, Faults: cfg.Faults})
-	if err != nil {
-		return nil, err
+	dcfg := ddp.Config{
+		Workers: cfg.Replicas, BatchSize: cfg.BatchSize, Epochs: cfg.Epochs, StartEpoch: cfg.StartEpoch,
+		LR: cfg.LR, UseLRScaling: cfg.UseLRScaling, ClipNorm: cfg.ClipNorm, Sampler: cfg.Sampler, Seed: cfg.Seed,
+		Net: cfg.Net, IntraNet: cfg.IntraNet, Topology: cfg.Topology,
+		ComputeCost: cfg.ComputeCost, AssembleCost: cfg.AssembleCost, Prefetch: cfg.Prefetch,
+		Sync: cfg.Sync, FP16: cfg.FP16, BucketBytes: cfg.BucketBytes, AutoTuneBuckets: cfg.AutoTuneBuckets,
+		OnAutotuneLock: cfg.OnAutotuneLock, Trace: cfg.Trace, Ctx: cfg.Ctx, Init: cfg.Init,
+		OnEpoch: cfg.OnEpoch, Faults: cfg.Faults, OnSnapshot: cfg.OnSnapshot,
 	}
-	lr := cfg.LR
-	if lr <= 0 {
-		lr = 0.01
+	return dcfg, ddp.Grid{Shards: cfg.Shards, Bind: bind, Staleness: cfg.Staleness}, plan, nil
+}
+
+// part is one grid worker's node-partition half (ddp.Shard): its shard of
+// the plan, the propagators bound to it, and the halo bookkeeping. The plan
+// is worker-local state once repartitioning can replace it mid-run; the
+// shared initial plan is never mutated.
+type part struct {
+	w           *cluster.Worker
+	cfg         *Config
+	g           *graph.Graph
+	supports    []*sparse.CSR
+	group       []int
+	plan        *Plan
+	sp          *ShardPlan
+	props       []nn.Propagator
+	stats       *Stats
+	meta        []ddp.SpanMeta
+	computeFrac float64
+	totalWeight float64
+	history     int64 // one node's full feature history, in bytes
+	moves       int
+}
+
+// bindPlan points the worker at plan's block for its shard.
+func (p *part) bindPlan(plan *Plan) {
+	p.plan = plan
+	p.sp = plan.Parts[p.w.Rank()%p.cfg.Shards]
+	p.computeFrac = p.loadShare(p.sp.Own)
+}
+
+// loadShare is a node block's structural compute share: the NodeWeights
+// share when skew is injected, the node-count share otherwise (the loss
+// weight always keeps the node-count share, so Σ shard losses equals the
+// global mean exactly).
+func (p *part) loadShare(own []int) float64 {
+	share := float64(len(own)) / float64(p.plan.GlobalN)
+	if p.cfg.NodeWeights != nil && p.totalWeight > 0 {
+		s := 0.0
+		for _, u := range own {
+			s += p.cfg.NodeWeights[u]
+		}
+		share = s / p.totalWeight
 	}
-	if cfg.UseLRScaling {
-		lr = nn.ScaleLR(lr, cfg.Replicas)
+	return share
+}
+
+func (p *part) Own() []int                  { return p.sp.Own }
+func (p *part) ComputeFrac() float64        { return p.computeFrac }
+func (p *part) BeginStep()                  { p.stats.BeginStep() }
+func (p *part) HaloWall() time.Duration     { return p.stats.Wall }
+func (p *part) BookBlocked(d time.Duration) { p.stats.stepBlocked += d }
+func (p *part) Owner() []int                { return append([]int(nil), p.plan.Owner...) }
+
+// StepEvents implements ddp.Shard: under the overlapped schedule the step's
+// exchange launches ride the replica group's channel; blocking exchanges
+// already charged the clock inline.
+func (p *part) StepEvents(compute time.Duration, structural bool) ([]cluster.CommEvent, []ddp.SpanMeta, time.Duration) {
+	st := p.stats
+	cost := st.StepCost()
+	var events []cluster.CommEvent
+	var exposed time.Duration
+	p.meta = p.meta[:0]
+	if p.cfg.HaloSync == HaloSyncOverlap {
+		events = st.StepEvents(compute, structural)
+		for i := range events {
+			events[i].Channel = st.Channel
+			if st.Trace != nil {
+				p.meta = append(p.meta, ddp.SpanMeta{Kind: trace.KindHalo, Label: st.stepLabels[i], Bytes: st.stepBytes[i]})
+			}
+		}
+		exposed = cluster.OverlapFinish(compute, events) - compute
 	}
+	st.Hidden += cost - exposed
+	return events, p.meta, exposed
+}
 
-	type workerOut struct {
-		curve        metrics.Curve
-		vt           time.Duration
-		comm         time.Duration
-		commHidden   time.Duration
-		halo         Stats
-		expCh        [cluster.NumChannels]time.Duration
-		gradBytes    int64
-		savedBytes   int64
-		buckets      int
-		bucketBytes  int64
-		steps        int
-		repartitions int
-		loads        []float64
-		checksum     float64
-		cancelled    bool
-		model        nn.SeqModel
-		opt          *nn.Adam
+// Settle implements ddp.Shard: under the overlapped halo schedule the
+// evaluation exchanges record step events nobody overlaps, so their full
+// cost is charged inline per batch — exactly what the blocking schedule
+// charges; with blocking exchanges it is a no-op.
+func (p *part) Settle() {
+	st := p.stats
+	cost := st.StepCost()
+	if cost <= 0 {
+		return
 	}
-	outs := make([]workerOut, world)
-	globalN := g.N
-	cancellable := cfg.Ctx != nil && cfg.Ctx.Done() != nil
-	haloOverlap := cfg.HaloSync == HaloSyncOverlap
-	// Bucketed overlap only pays off with real peers; a single worker has
-	// nothing to exchange and keeps the plain path.
-	bucketed := cfg.Sync != ddp.SyncFlatten && world > 1
+	st.ChannelExposed[st.Channel] += cost
+	if tw := st.Trace; tw != nil {
+		cursor := p.w.VirtualTime()
+		for i, ev := range st.events {
+			tw.Span(trace.KindHalo, st.stepLabels[i], ddp.CommStream(st.Channel), cursor, ev.Cost, st.stepBytes[i])
+			cursor += ev.Cost
+		}
+		tw.Span(trace.KindExposed, "halo.eval", trace.StreamExposed, p.w.VirtualTime(), cost, 0)
+	}
+	p.w.AdvanceTime(cost)
+}
 
-	runErr := clu.Run(func(w *cluster.Worker) error {
-		rank := w.Rank()
-		rep, sh := rank/cfg.Shards, rank%cfg.Shards
-		replicaGroup := make([]int, cfg.Shards)
-		for i := range replicaGroup {
-			replicaGroup[i] = rep*cfg.Shards + i
-		}
-		shardGroup := make([]int, cfg.Replicas)
-		for i := range shardGroup {
-			shardGroup[i] = i*cfg.Shards + sh
-		}
-		// The plan is worker-local state once repartitioning can replace it
-		// mid-run; the shared outer plan is never mutated.
-		myPlan := plan
-		sp := myPlan.Parts[sh]
-		// fracOf splits the shard's two shares: the loss weight is always the
-		// node-count share (Σ shard losses must equal the global mean
-		// exactly), while the structural compute charge uses the NodeWeights
-		// share when skew is injected.
-		var totalWeight float64
-		for _, nw := range cfg.NodeWeights {
-			totalWeight += nw
-		}
-		fracOf := func(own []int) (lossFrac, computeFrac float64) {
-			lossFrac = float64(len(own)) / float64(globalN)
-			computeFrac = lossFrac
-			if cfg.NodeWeights != nil && totalWeight > 0 {
-				s := 0.0
-				for _, u := range own {
-					s += cfg.NodeWeights[u]
-				}
-				computeFrac = s / totalWeight
-			}
-			return lossFrac, computeFrac
-		}
-		ownFrac, computeFrac := fracOf(sp.Own)
-		tw := cfg.Trace.Worker(rank)
-		cfg.Trace.NameWorker(rank, fmt.Sprintf("train rank %d (replica %d, shard %d)", rank, rep, sh))
-		stats := &Stats{PinFirstLaunch: cfg.Prefetch, Trace: tw}
-		props := Propagators(w, replicaGroup, sp, cfg.Topology, stats, haloOverlap)
-		model := factory(cfg.Seed, props)
-		params := model.Parameters()
-		opt := nn.NewAdam(model, lr)
-		if cfg.Init != nil {
-			if err := cfg.Init(model, opt); err != nil {
-				return fmt.Errorf("shard: rank %d init: %w", rank, err)
-			}
-		}
-		// Epoch-boundary snapshot stream (rank 0 only): parameters and
-		// optimizer moments are identical on every worker at the boundary, so
-		// rank 0's copy plus the current owner vector is the full recovery
-		// anchor. The initial capture below anchors a crash inside the first
-		// epoch.
-		capture := func(nextEpoch int, curve metrics.Curve) {
-			if rank != 0 || cfg.OnSnapshot == nil {
-				return
-			}
-			cfg.OnSnapshot(Snapshot{
-				NextEpoch:   nextEpoch,
-				Params:      nn.SnapshotParams(model),
-				State:       nn.CaptureTrainState(opt, nextEpoch),
-				Curve:       append(metrics.Curve(nil), curve...),
-				Owner:       append([]int(nil), myPlan.Owner...),
-				VirtualTime: w.VirtualTime(),
-			})
-		}
-		capture(cfg.StartEpoch, nil)
-		sampler := ddp.NewSampler(cfg.Sampler, split.Train, cfg.BatchSize, cfg.Replicas, rep, cfg.Seed)
-		// This replica's validation batches, fixed for the whole run (the
-		// split never changes; only the owned-node slice evaluated per batch
-		// does, and that is read from sp at eval time).
-		evalLo, evalHi := batching.PartitionRange(len(split.Val), cfg.Replicas, rep)
-		evalBatches := batching.Batches(split.Val[evalLo:evalHi], cfg.BatchSize)
-		// The train loop's batches live in the prefetcher's double buffer (or
-		// buf on the serial path); evaluation gets its own buffer so eval
-		// assembly never clobbers a slot the train pipeline still owns.
-		var buf, evalBuf batching.BatchBuffer
-		var gradBuf []float64
-		var flatCodec cluster.FP16Codec
-		var comm, commHidden time.Duration
-		var gradBytes, savedBytes int64
-		var curve metrics.Curve
-		steps := 0
-		moves := 0
-
-		// The overlap-timeline channels this rank's collectives occupy: halo
-		// exchanges stay within the replica group, gradient buckets cross the
-		// shard group. Under a flat topology both map to the single fabric
-		// channel and the step charge degenerates to the legacy serialized
-		// timeline.
-		haloCh := cfg.Topology.GroupChannel(world, replicaGroup)
-		gradCh := cfg.Topology.GroupChannel(world, shardGroup)
-		stats.Channel = haloCh
-		// Per-channel exposed communication (the Result split and the
-		// comm.exposed.{intra,inter} counters).
-		var expCh [cluster.NumChannels]time.Duration
-
-		// One prefetcher per epoch; closed on every exit path (the deferred
-		// close covers error returns and cancellation). The eval prefetcher
-		// spins up under the epoch's last train step so the first validation
-		// batch is resident when the tail eval pass begins.
-		var pf, evalPf *batching.Prefetcher
-		defer func() {
-			if pf != nil {
-				pf.Close()
-			}
-			if evalPf != nil {
-				evalPf.Close()
-			}
-		}()
-
-		// The grouped two-stage collective the bucketed syncer launches per
-		// bucket: sum across the replica group (reduce-scatter), mean across
-		// the shard group (chunk allreduce), allgather back. The wall time
-		// spent blocked inside it is booked against the step so the halo
-		// launch offsets measure compute only (the syncer's own CommWall
-		// symmetrically keeps bucket offsets clean of halo blocking below).
-		launch := func(vec []float64, wireBytes int64) time.Duration {
-			t0 := time.Now()
-			cost := w.AsyncTwoStageAllReduce(vec, replicaGroup, shardGroup, wireBytes, cfg.Topology)
-			stats.stepBlocked += time.Since(t0)
-			return cost
-		}
-		var bucketBytes int64
-		var syncer *ddp.OverlapSyncer
-		var sweep *ddp.BucketSweep
-		if bucketed {
-			sweep, syncer, bucketBytes = ddp.NewGradSync(w, clu.Net(), params, launch, cfg.FP16, cfg.AutoTuneBuckets, cfg.BucketBytes, cfg.OnAutotuneLock)
-		}
-
-		// Bounded-staleness pipeline state (see Config.Staleness): each step's
-		// synchronized gradient is queued with the absolute virtual time its
-		// collectives finish on the persistent gradient engine; the optimizer
-		// applies the queue head once it is K steps old. All ranks hold
-		// bitwise-identical queues (the exchange itself is synchronous — only
-		// the application is deferred), preserving the replica invariant.
-		K := cfg.Staleness
-		stale := K > 0 && bucketed
-		type pendingGrad struct {
-			vec    []float64
-			finish time.Duration
-		}
-		var staleQ []pendingGrad
-		var freeVecs [][]float64
-		var lastApplied, staleComp []float64
-		var gradChanFree time.Duration
-		applyStale := func(g []float64) {
-			comp := g
-			if lastApplied != nil {
-				// Staleness compensation: extrapolate the delayed gradient K
-				// steps forward along its last observed change, first-order
-				// correcting for the weights having moved since it was
-				// computed. The first application has no history and applies
-				// the gradient as-is.
-				if cap(staleComp) < len(g) {
-					staleComp = make([]float64, len(g))
-				}
-				staleComp = staleComp[:len(g)]
-				kf := float64(K)
-				for i := range g {
-					staleComp[i] = g[i] + kf*(g[i]-lastApplied[i])
-				}
-				comp = staleComp
-			}
-			ddp.UnflattenGrads(params, comp)
-			if cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(model, cfg.ClipNorm)
-			}
-			opt.Step()
-			if lastApplied != nil {
-				freeVecs = append(freeVecs, lastApplied)
-			}
-			lastApplied = g
-		}
-
-		cancelled := false
-		for epoch := cfg.StartEpoch; epoch < cfg.Epochs; epoch++ {
-			batches := sampler.EpochBatches(epoch)
-			stepsThisEpoch := int(w.AllReduceScalar(float64(len(batches)), cluster.OpMin))
-			if cfg.Prefetch {
-				pf = batching.NewPrefetcher(data, batches[:stepsThisEpoch])
-			}
-			var trainAcc metrics.Running
-			// epochCompute is the structural per-step charge (blind to
-			// straggler scaling); epochMeasured is the scaled charge the clock
-			// actually advanced by — the same quantity the trace compute spans
-			// record. Repartition.Measured selects which one feeds the
-			// epoch-boundary load vector.
-			var epochCompute, epochMeasured time.Duration
-			for s := 0; s < stepsThisEpoch; s++ {
-				if cancellable {
-					// Clock-free agreed stop (see ddp.Train): cancellable
-					// runs keep the plain runs' modeled timeline.
-					flag := 0.0
-					if cfg.Ctx.Err() != nil {
-						flag = 1
-					}
-					if w.AllReduceScalarFree(flag, cluster.OpMax) > 0 {
-						cancelled = true
-						break
-					}
-				}
-				if err := w.FaultPoll(); err != nil {
-					return err
-				}
-				idx := batches[s]
-				var x, y *tensor.Tensor
-				if pf != nil {
-					// Pipelined path: receive the pre-assembled batch before
-					// the timed span starts (waiting for the collator is
-					// assembly, not compute).
-					var ok bool
-					x, y, ok = pf.Next()
-					if !ok {
-						return fmt.Errorf("shard: rank %d: prefetcher exhausted at step %d of %d", rank, s, stepsThisEpoch)
-					}
-				}
-				if pf != nil && s == stepsThisEpoch-1 && len(evalBatches) > 0 {
-					// Tail overlap: the epoch's last train step has no next
-					// train batch to collate, so the background collator
-					// assembles the first eval batch under it instead and the
-					// eval pass no longer serializes with the epoch tail.
-					evalPf = batching.NewPrefetcher(data, evalBatches)
-				}
-				start := time.Now()
-				stats.BeginStep()
-				haloWall := stats.Wall
-				if pf == nil {
-					x, y = data.AssembleBatch(idx, &buf)
-				}
-				xOwn := gatherNodeAxis(x, sp.Own)
-				target := gatherNodeAxis(y.Slice(3, 0, 1).Contiguous(), sp.Own)
-				pred := model.Forward(autograd.Constant(xOwn))
-				lossLocal := autograd.MAELoss(pred, target)
-				// The sum of the shard losses equals the global-mean loss, so
-				// summing the backward gradients across the replica group
-				// reproduces the unsharded gradient exactly.
-				loss := autograd.ScalarMul(lossLocal, ownFrac)
-				var fwdWall, bwdWall time.Duration
-				if bucketed {
-					// Bucketed overlapping two-stage sync: bucket collectives
-					// launch from the timed gradient-ready hook while backward
-					// still runs.
-					syncer.Reset()
-					fwdWall = time.Since(start) - (stats.Wall - haloWall)
-					if fwdWall < 0 {
-						fwdWall = 0
-					}
-					bwdHaloWall := stats.Wall
-					// Bucket ready stamps, like the halo launch offsets, must
-					// measure backward *compute*: strip the halo-exchange
-					// blocking accumulated so far this backward pass (the
-					// syncer already strips its own collective blocking).
-					hook := func(leaf *autograd.Variable, elapsed time.Duration) {
-						syncer.OnGradReady(leaf, elapsed-(stats.Wall-bwdHaloWall))
-					}
-					var err error
-					bwdWall, err = autograd.BackwardTimed(loss, hook)
-					if err != nil {
-						return fmt.Errorf("shard: rank %d backward: %w", rank, err)
-					}
-					// Like the ReadyAt stamps, the backward span excludes
-					// time blocked inside collective launches and halo
-					// exchanges.
-					bwdWall -= syncer.CommWall() + (stats.Wall - bwdHaloWall)
-					if bwdWall < 0 {
-						bwdWall = 0
-					}
-					syncer.Flush(bwdWall)
-					// Gradients are now globally synchronized; the clip point
-					// is unchanged (after the sync). Under bounded staleness
-					// clipping moves to application time.
-					if cfg.ClipNorm > 0 && !stale {
-						nn.ClipGradNorm(model, cfg.ClipNorm)
-					}
-				} else if err := autograd.Backward(loss); err != nil {
-					return fmt.Errorf("shard: rank %d backward: %w", rank, err)
-				}
-				// The step's compute span. Modeled runs keep the timeline
-				// structural (machine-independent virtual clocks); measured
-				// runs subtract the wall time spent blocked in exchanges and
-				// collective launches (that is communication, not compute).
-				structural := cfg.ComputeCost != nil
-				var compute time.Duration
-				if structural {
-					compute = time.Duration(computeFrac * float64(cfg.ComputeCost(len(idx))))
-					fwdWall, bwdWall = 0, 0
-				} else {
-					compute = time.Since(start) - (stats.Wall - haloWall)
-					if bucketed {
-						compute -= syncer.CommWall()
-					}
-					if compute < 0 {
-						compute = 0
-					}
-				}
-				epochCompute += compute
-				compute = w.ScaleCompute(compute)
-				epochMeasured += compute
-				// Charge the step: overlapped halo launches ride the replica
-				// group's engine and gradient buckets the shard group's, each
-				// engine serializing its own events while the two pipeline
-				// independently (cluster.OverlapFinishChannels); the clock
-				// advances by max(compute, every engine's last finish). Under
-				// a flat topology both groups map to the single fabric
-				// channel and the charge degenerates to the legacy serialized
-				// timeline; with both schedules blocking the event list is
-				// empty and it degenerates further to the compute-only
-				// advance (the blocking halo exchanges charged the clock
-				// inline and the flatten sync charges it below).
-				// asm prices collating this step's batch; nextAsm is what the
-				// background collator works on under this step — the next
-				// train batch, or (on the epoch's last step) the first eval
-				// batch the tail-overlap prefetcher is filling.
-				var asm, nextAsm time.Duration
-				if cfg.AssembleCost != nil {
-					asm = cfg.AssembleCost(len(idx))
-					if pf != nil {
-						if s+1 < stepsThisEpoch {
-							nextAsm = asm
-						} else if evalPf != nil {
-							nextAsm = cfg.AssembleCost(len(evalBatches[0]))
-						}
-					}
-				}
-				if asm > 0 && pf != nil && s == 0 {
-					// Pipeline fill: the epoch's leading assembly has no
-					// previous step to hide under.
-					tw.Span(trace.KindAssemble, "assemble.fill", trace.StreamAssembly, w.VirtualTime(), asm, 0)
-					w.AdvanceTime(asm)
-				}
-				t0 := w.VirtualTime()
-				var events []cluster.CommEvent
-				var meta []stepSpanMeta
-				var haloExposed time.Duration
-				haloStepCost := stats.StepCost()
-				if haloOverlap {
-					hev := stats.StepEvents(compute, structural)
-					for i := range hev {
-						hev[i].Channel = haloCh
-					}
-					haloExposed = cluster.OverlapFinish(compute, hev) - compute
-					events = append(events, hev...)
-					if tw != nil {
-						for i := range hev {
-							meta = append(meta, stepSpanMeta{kind: trace.KindHalo, label: stats.stepLabels[i], bytes: stats.stepBytes[i]})
-						}
-					}
-				}
-				var gradFinish time.Duration
-				if bucketed {
-					gevs := syncer.Timeline(compute, fwdWall, bwdWall)
-					for i := range gevs {
-						gevs[i].Channel = gradCh
-					}
-					if stale {
-						// Bounded staleness: the step no longer waits for its
-						// own gradient collectives — they book onto the
-						// persistent gradient engine spanning steps, and step
-						// s+K blocks on this step's finish instead.
-						for gi, ev := range gevs {
-							st := t0 + ev.ReadyAt
-							if gradChanFree > st {
-								st = gradChanFree
-							}
-							if tw != nil {
-								tw.Span(trace.KindGrad, fmt.Sprintf("grad b%d", syncer.LaunchBuckets()[gi]), trace.StreamGradEngine, st, ev.Cost, syncer.LaunchWire()[gi])
-							}
-							gradChanFree = st + ev.Cost
-						}
-						gradFinish = gradChanFree
-					} else {
-						if tw != nil {
-							for i := range gevs {
-								meta = append(meta, stepSpanMeta{kind: trace.KindGrad, label: fmt.Sprintf("grad b%d", syncer.LaunchBuckets()[i]), bytes: syncer.LaunchWire()[i]})
-							}
-						}
-						events = append(events, gevs...)
-						// A stable sort's output is uniquely determined by the
-						// keys and the original order, so sorting through the
-						// meta-carrying sorter leaves the event slice exactly
-						// as sort.SliceStable produced it before.
-						sort.Stable(&stepEventSorter{events: events, meta: meta})
-					}
-				}
-				step := cluster.OverlapFinishChannels(compute, events)
-				exposed := step - compute
-				// Host-side collation: the serial path exposes it ahead of
-				// the step; the prefetch pipeline assembles the next batch
-				// under this step, so the step charge is max(step, assemble).
-				if pf == nil {
-					if asm > 0 {
-						step += asm
-					}
-				} else if nextAsm > step {
-					step = nextAsm
-				}
-				stepEnd := t0 + step
-				stats.Hidden += haloStepCost - haloExposed
-				for c, d := range cluster.OverlapChannelExposure(compute, events) {
-					expCh[c] += d
-				}
-				if tw != nil {
-					// The step body (compute + overlapped comm) starts after
-					// the serially-exposed assembly; the prefetch path's
-					// assembly is occupancy under the step.
-					base := t0
-					if pf == nil {
-						if asm > 0 {
-							base += asm
-							tw.Span(trace.KindAssemble, "assemble", trace.StreamAssembly, t0, asm, 0)
-						}
-					} else if nextAsm > 0 {
-						name := "assemble.next"
-						if s+1 >= stepsThisEpoch {
-							name = "assemble.eval"
-						}
-						tw.Span(trace.KindAssemble, name, trace.StreamAssembly, t0, nextAsm, 0)
-					}
-					tw.Span(trace.KindCompute, "compute", trace.StreamCompute, base, compute, 0)
-					spans, _ := cluster.OverlapScheduleChannels(compute, events)
-					for i, sp := range spans {
-						m := meta[i]
-						tw.Span(m.kind, m.label, commStream(sp.Event.Channel), base+sp.Start, sp.Finish-sp.Start, m.bytes)
-					}
-					if exposed > 0 {
-						tw.Span(trace.KindExposed, "comm.tail", trace.StreamExposed, base+compute, exposed, 0)
-					}
-				}
-				if stale {
-					gv := []float64(nil)
-					if n := len(freeVecs); n > 0 {
-						gv, freeVecs = freeVecs[n-1], freeVecs[:n-1]
-					}
-					gv = ddp.FlattenGrads(params, gv)
-					// The update is deferred; clear the accumulated grads so
-					// the next backward starts from zero (opt.Step, which
-					// normally zeroes them, is skipped this step).
-					for _, pm := range params {
-						pm.V.ZeroGrad()
-					}
-					staleQ = append(staleQ, pendingGrad{vec: gv, finish: gradFinish})
-					var tail time.Duration
-					if len(staleQ) > K {
-						pg := staleQ[0]
-						staleQ = staleQ[1:]
-						if pg.finish > stepEnd {
-							tail = pg.finish - stepEnd
-							tw.Span(trace.KindExposed, "stale.tail", trace.StreamExposed, stepEnd, tail, 0)
-							stepEnd = pg.finish
-						}
-						tw.AsyncSpan(trace.KindStaleApply, "stale.apply", trace.StreamGradEngine, pg.finish, stepEnd-pg.finish, 0)
-						applyStale(pg.vec)
-					}
-					comm += tail
-					expCh[gradCh] += tail
-					if hid := syncer.TotalCost() - tail; hid > 0 {
-						commHidden += hid
-					}
-					gradBytes += syncer.StepBytes()
-					savedBytes += syncer.StepSaved()
-					w.AdvanceTime(stepEnd - t0)
-				} else if bucketed {
-					w.AdvanceTime(stepEnd - t0)
-					gradExposed := exposed - haloExposed
-					comm += gradExposed
-					commHidden += syncer.TotalCost() - gradExposed
-					gradBytes += syncer.StepBytes()
-					savedBytes += syncer.StepSaved()
-				} else {
-					w.AdvanceTime(stepEnd - t0)
-					// Flatten baseline: sum over the replica group (the
-					// spatial reduction), then average over the shard group
-					// (the data-parallel mean), both blocking and fully
-					// exposed. Every worker ends with the bitwise-identical
-					// global gradient.
-					gradBuf = ddp.FlattenGrads(params, gradBuf)
-					wire := int64(len(gradBuf)) * 8
-					var saved int64
-					if cfg.FP16 && world > 1 {
-						flatCodec.ApplyInPlace(gradBuf)
-						compressed := cluster.FP16WireBytes(len(gradBuf))
-						saved = wire - compressed
-						wire = compressed
-					}
-					// Saved and shipped bytes stay on the same per-collective
-					// basis: each stage ships (and so each stage saves).
-					if cfg.Shards > 1 {
-						cost := w.GroupRingAllReduceSized(gradBuf, replicaGroup, wire, false, cfg.Topology)
-						comm += cost
-						expCh[haloCh] += cost
-						if tw != nil {
-							// The group barrier aligned the clock to the
-							// slowest member plus the cost, so the collective
-							// window ends at the current virtual time.
-							at := w.VirtualTime() - cost
-							tw.Span(trace.KindGrad, "grad.flatten.replica-sum", commStream(haloCh), at, cost, wire)
-							tw.Span(trace.KindExposed, "grad.flatten.replica-sum", trace.StreamExposed, at, cost, 0)
-						}
-						gradBytes += wire
-						savedBytes += saved
-					}
-					if cfg.Replicas > 1 {
-						cost := w.GroupRingAllReduceSized(gradBuf, shardGroup, wire, true, cfg.Topology)
-						comm += cost
-						expCh[gradCh] += cost
-						if tw != nil {
-							at := w.VirtualTime() - cost
-							tw.Span(trace.KindGrad, "grad.flatten.shard-mean", commStream(gradCh), at, cost, wire)
-							tw.Span(trace.KindExposed, "grad.flatten.shard-mean", trace.StreamExposed, at, cost, 0)
-						}
-						gradBytes += wire
-						savedBytes += saved
-					}
-					ddp.UnflattenGrads(params, gradBuf)
-					if cfg.ClipNorm > 0 {
-						nn.ClipGradNorm(model, cfg.ClipNorm)
-					}
-				}
-				if !stale {
-					// Under staleness the optimizer ran inside applyStale
-					// (or the update is still queued).
-					opt.Step()
-				}
-				if tw != nil {
-					tw.Span(trace.KindStep, fmt.Sprintf("step %d", steps), trace.StreamStep, t0, w.VirtualTime()-t0, 0)
-				}
-				steps++
-				w.Barrier() // synchronous step boundary (straggler wait)
-				if sweep.Active() {
-					syncer = sweep.Step(syncer, compute)
-					bucketBytes = sweep.BucketBytes()
-				}
-				// Weight by elements seen so the global weighted mean matches
-				// the unsharded per-batch accounting.
-				trainAcc.Add(lossLocal.Value.Item()*data.Std, len(idx)*len(sp.Own))
-			}
-			if pf != nil {
-				// Cancellation (or a short schedule) leaves the collator
-				// mid-stream; Close drains it either way.
-				pf.Close()
-				pf = nil
-			}
-			// Drain the staleness pipeline: every queued gradient applies
-			// before evaluation — and before a cancelled exit — so the update
-			// count matches the synchronous schedule and replicas stay
-			// bitwise identical.
-			for len(staleQ) > 0 {
-				pg := staleQ[0]
-				staleQ = staleQ[1:]
-				if d := pg.finish - w.VirtualTime(); d > 0 {
-					comm += d
-					expCh[gradCh] += d
-					tw.Span(trace.KindExposed, "stale.drain", trace.StreamExposed, w.VirtualTime(), d, 0)
-					w.AdvanceTime(d)
-				}
-				tw.AsyncSpan(trace.KindStaleApply, "stale.apply", trace.StreamGradEngine, pg.finish, w.VirtualTime()-pg.finish, 0)
-				applyStale(pg.vec)
-			}
-			if cancelled {
-				break
-			}
-			// The sweep is confined to the first epoch: a short epoch locks
-			// in the best candidate tried so far.
-			if sweep.Active() {
-				syncer = sweep.EndEpoch(syncer)
-				bucketBytes = sweep.BucketBytes()
-			}
-			trainMAE := ddp.ReduceWeighted(w, trainAcc)
-			valMAE := evaluateShard(w, model, data, evalBatches, evalPf, sp.Own, &evalBuf, stats)
-			if evalPf != nil {
-				evalPf.Close()
-				evalPf = nil
-			}
-			rec := metrics.EpochRecord{Epoch: epoch, TrainMAE: trainMAE, ValMAE: valMAE}
-			curve = append(curve, rec)
-			if rank == 0 && cfg.OnEpoch != nil {
-				cfg.OnEpoch(rec)
-			}
-			if cfg.Repartition.Enabled() && cfg.Shards > 1 && epoch+1 < cfg.Epochs &&
-				(cfg.Repartition.MaxMoves == 0 || moves < cfg.Repartition.MaxMoves) {
-				// Agree on the per-shard load vector without touching the
-				// clock: each entry is the max over that shard's replicas of
-				// the epoch's accumulated step compute (identical across
-				// replicas on structural timelines). Every rank then derives
-				// the same decision from the same vector.
-				epochLoad := epochCompute
-				if cfg.Repartition.Measured {
-					epochLoad = epochMeasured
-				}
-				loads := make([]float64, cfg.Shards)
-				for q := range loads {
-					v := 0.0
-					if q == sh {
-						v = epochLoad.Seconds()
-					}
-					loads[q] = w.AllReduceScalarFree(v, cluster.OpMax)
-				}
-				if src, dst, nodes, ok := chunkMove(g, myPlan, loads, cfg.Repartition); ok {
-					newPlan, err := applyMove(g, supports, myPlan, dst, nodes)
-					if err != nil {
-						return fmt.Errorf("shard: rank %d repartition: %w", rank, err)
-					}
-					// Modeled migration window: the moved nodes' full feature
-					// history crosses the fabric once; every rank charges the
-					// identical cost so the clocks stay aligned.
-					bytes := int64(len(nodes)) * int64(data.Data.Dim(0)*data.Data.Dim(2)) * 8
-					cost := cfg.Net.FetchTime(bytes)
-					if tw != nil {
-						tw.Span(trace.KindRepartition, fmt.Sprintf("repartition %d->%d", src, dst), trace.StreamStep, w.VirtualTime(), cost, bytes)
-					}
-					w.AdvanceTime(cost)
-					myPlan = newPlan
-					sp = myPlan.Parts[sh]
-					ownFrac, computeFrac = fracOf(sp.Own)
-					if err := Rebind(props, w, replicaGroup, sp, cfg.Topology, stats, haloOverlap); err != nil {
-						return fmt.Errorf("shard: rank %d repartition: %w", rank, err)
-					}
-					moves++
-					if rank == 0 && cfg.OnRepartition != nil {
-						cfg.OnRepartition(RepartitionEvent{Epoch: epoch, From: src, To: dst,
-							Nodes: nodes, Loads: loads, EdgeCut: myPlan.EdgeCut})
-					}
-				}
-			}
-			// Captured after any repartition so the owner vector reflects the
-			// state a restart at epoch+1 actually trains on.
-			capture(epoch+1, curve)
-		}
-		var checksum float64
-		for _, p := range params {
-			checksum += p.Tensor().SumAll()
-		}
-		w.Barrier()
-		buckets := 1
-		effectiveBucketBytes := int64(0)
-		if bucketed {
-			buckets = syncer.NumBuckets()
-			effectiveBucketBytes = bucketBytes
-		}
-		// Fold the inline-charged halo exposure (blocking exchanges, eval
-		// settles) into the per-channel split, then publish the counters.
-		for c, d := range stats.ChannelExposed {
-			expCh[c] += d
-		}
-		if tw != nil {
-			tw.Add("grad.wire.bytes", gradBytes)
-			tw.Add("grad.wire.saved.bytes", savedBytes)
-			tw.Add("halo.wire.bytes", stats.Bytes)
-			tw.Add("comm.exposed.ns", int64(comm))
-			tw.Add("comm.hidden.ns", int64(commHidden))
-			tw.Add("halo.exposed.ns", int64(stats.Time-stats.Hidden))
-			tw.Add("halo.hidden.ns", int64(stats.Hidden))
-			tw.Add("comm.exposed.intra.ns", int64(expCh[cluster.ChannelIntra]))
-			tw.Add("comm.exposed.inter.ns", int64(expCh[cluster.ChannelInter]))
-		}
-		outs[rank] = workerOut{
-			curve: curve, vt: w.VirtualTime(), comm: comm, commHidden: commHidden,
-			halo: *stats, expCh: expCh, gradBytes: gradBytes, savedBytes: savedBytes,
-			buckets: buckets, bucketBytes: effectiveBucketBytes,
-			steps: steps, repartitions: moves, checksum: checksum, cancelled: cancelled,
-		}
-		if rank == 0 {
-			outs[rank].model, outs[rank].opt = model, opt
-			loads := make([]float64, cfg.Shards)
-			for p := range loads {
-				_, loads[p] = fracOf(myPlan.Parts[p].Own)
-			}
-			outs[rank].loads = loads
-		}
+// EndEpoch implements ddp.Shard: the elastic repartition hook. The grid
+// agrees on the per-shard load vector without touching the clock (each
+// entry is the max over that shard's replicas of the epoch's compute,
+// identical across replicas on structural timelines), so every rank derives
+// the same decision from the same vector.
+func (p *part) EndEpoch(epoch int, structural, measured time.Duration) error {
+	r := p.cfg.Repartition
+	if !r.Enabled() || epoch+1 >= p.cfg.Epochs || (r.MaxMoves > 0 && p.moves >= r.MaxMoves) {
 		return nil
-	})
-	if runErr != nil {
-		return nil, runErr
 	}
-	// Every worker must hold the identical parameters: replicas within shard
-	// groups by DDP's invariant, shards by the deterministic two-stage sync.
-	for r := 1; r < world; r++ {
-		if outs[r].checksum != outs[0].checksum {
-			return nil, fmt.Errorf("shard: divergence: rank %d checksum %v vs rank 0 %v", r, outs[r].checksum, outs[0].checksum)
+	load := structural
+	if r.Measured {
+		load = measured
+	}
+	loads := make([]float64, p.cfg.Shards)
+	for q := range loads {
+		v := 0.0
+		if q == p.sp.Shard {
+			v = load.Seconds()
+		}
+		loads[q] = p.w.AllReduceScalarFree(v, cluster.OpMax)
+	}
+	src, dst, nodes, ok := chunkMove(p.g, p.plan, loads, r)
+	if !ok {
+		return nil
+	}
+	plan, err := applyMove(p.g, p.supports, p.plan, dst, nodes)
+	if err != nil {
+		return fmt.Errorf("shard: rank %d repartition: %w", p.w.Rank(), err)
+	}
+	// Modeled migration window: the moved nodes' full feature history
+	// crosses the fabric once; every rank charges the identical cost so the
+	// clocks stay aligned.
+	bytes := int64(len(nodes)) * p.history
+	cost := p.cfg.Net.FetchTime(bytes)
+	p.stats.Trace.Span(trace.KindRepartition, fmt.Sprintf("repartition %d->%d", src, dst), trace.StreamStep, p.w.VirtualTime(), cost, bytes)
+	p.w.AdvanceTime(cost)
+	p.bindPlan(plan)
+	if err := Rebind(p.props, p.w, p.group, p.sp, p.cfg.Topology, p.stats, p.cfg.HaloSync == HaloSyncOverlap); err != nil {
+		return fmt.Errorf("shard: rank %d repartition: %w", p.w.Rank(), err)
+	}
+	p.moves++
+	if p.w.Rank() == 0 && p.cfg.OnRepartition != nil {
+		p.cfg.OnRepartition(RepartitionEvent{Epoch: epoch, From: src, To: dst, Nodes: nodes, Loads: loads, EdgeCut: plan.EdgeCut})
+	}
+	return nil
+}
+
+// Report implements ddp.Shard: the halo figures, the inline-charged halo
+// exposure (blocking exchanges, eval settles) per channel, and — on rank
+// 0 — the final per-shard loads.
+func (p *part) Report(res *ddp.Result) {
+	st := p.stats
+	res.HaloTime, res.HaloHiddenTime, res.HaloBytes = st.Time, st.Hidden, st.Bytes
+	res.CommExposedIntra += st.ChannelExposed[cluster.ChannelIntra]
+	res.CommExposedInter += st.ChannelExposed[cluster.ChannelInter]
+	res.Repartitions = p.moves
+	if p.w.Rank() == 0 {
+		res.ShardLoads = make([]float64, p.cfg.Shards)
+		for q := range res.ShardLoads {
+			res.ShardLoads[q] = p.loadShare(p.plan.Parts[q].Own)
 		}
 	}
-	return &Result{
-		Curve:            outs[0].curve,
-		VirtualTime:      outs[0].vt,
-		CommTime:         outs[0].comm,
-		CommHiddenTime:   outs[0].commHidden,
-		HaloTime:         outs[0].halo.Time,
-		HaloHiddenTime:   outs[0].halo.Hidden,
-		HaloBytes:        outs[0].halo.Bytes,
-		CommExposedIntra: outs[0].expCh[cluster.ChannelIntra],
-		CommExposedInter: outs[0].expCh[cluster.ChannelInter],
-		GradSyncBytes:    outs[0].gradBytes,
-		CommBytesSaved:   outs[0].savedBytes,
-		GradBuckets:      outs[0].buckets,
-		BucketBytes:      outs[0].bucketBytes,
-		Steps:            outs[0].steps,
-		GlobalBatch:      cfg.BatchSize * cfg.Replicas,
-		Shards:           cfg.Shards,
-		Replicas:         cfg.Replicas,
-		EdgeCut:          plan.EdgeCut,
-		MaxOwn:           plan.MaxOwn(),
-		MaxHalo:          plan.MaxHalo(),
-		Repartitions:     outs[0].repartitions,
-		ShardLoads:       outs[0].loads,
-		Model:            outs[0].model,
-		Opt:              outs[0].opt,
-		Cancelled:        outs[0].cancelled,
-	}, nil
-}
-
-// evaluateShard computes this worker's share of the validation MAE — its
-// replica's slice of the validation batches restricted to its own nodes —
-// and reduces the globally weighted mean (original signal units). Under the
-// overlapped halo schedule the evaluation exchanges record step events
-// nobody overlaps (there is no modeled eval compute to hide under), so
-// their full cost is charged inline per batch — exactly what the blocking
-// schedule charges; with blocking exchanges the settle is a no-op. When the
-// tail-overlap prefetcher is supplied, batches arrive pre-assembled (the
-// first one collated under the epoch's last train step, the rest under the
-// preceding eval forwards), so eval collation leaves the wall-clock path.
-func evaluateShard(w *cluster.Worker, model nn.SeqModel, data *batching.IndexDataset, batches [][]int, pf *batching.Prefetcher, own []int, buf *batching.BatchBuffer, stats *Stats) float64 {
-	var acc metrics.Running
-	for _, batch := range batches {
-		stats.BeginStep()
-		var x, y *tensor.Tensor
-		if pf != nil {
-			var ok bool
-			if x, y, ok = pf.Next(); !ok {
-				// The prefetcher covers exactly these batches; exhaustion
-				// means Close raced in, so fall back to serial assembly.
-				x, y = data.AssembleBatch(batch, buf)
-			}
-		} else {
-			x, y = data.AssembleBatch(batch, buf)
-		}
-		xOwn := gatherNodeAxis(x, own)
-		target := gatherNodeAxis(y.Slice(3, 0, 1).Contiguous(), own)
-		pred := model.Forward(autograd.Constant(xOwn))
-		if cost := stats.StepCost(); cost > 0 {
-			stats.ChannelExposed[stats.Channel] += cost
-			if tw := stats.Trace; tw != nil {
-				cursor := w.VirtualTime()
-				for i, ev := range stats.events {
-					tw.Span(trace.KindHalo, stats.stepLabels[i], commStream(stats.Channel), cursor, ev.Cost, stats.stepBytes[i])
-					cursor += ev.Cost
-				}
-				tw.Span(trace.KindExposed, "halo.eval", trace.StreamExposed, w.VirtualTime(), cost, 0)
-			}
-			w.AdvanceTime(cost)
-		}
-		acc.Add(metrics.MAE(pred.Value, target)*data.Std, len(batch)*len(own))
+	if tw := st.Trace; tw != nil {
+		tw.Add("halo.wire.bytes", st.Bytes)
+		tw.Add("halo.exposed.ns", int64(st.Time-st.Hidden))
+		tw.Add("halo.hidden.ns", int64(st.Hidden))
 	}
-	// Weighted-mean over all workers of the 2D grid: each (snapshot, node)
-	// pair is seen by exactly one worker.
-	return ddp.ReduceWeighted(w, acc)
-}
-
-// stepSpanMeta carries the trace annotation of one step comm event (label
-// and wire bytes) through the merged-timeline sort.
-type stepSpanMeta struct {
-	kind  trace.Kind
-	label string
-	bytes int64
-}
-
-// stepEventSorter orders the step's merged comm events by ReadyAt while
-// keeping the (optional) trace metadata aligned. It sorts stably, and a
-// stable sort's output is uniquely determined by keys and input order, so
-// untraced runs (nil meta) produce exactly the slice sort.SliceStable did.
-type stepEventSorter struct {
-	events []cluster.CommEvent
-	meta   []stepSpanMeta
-}
-
-func (s *stepEventSorter) Len() int           { return len(s.events) }
-func (s *stepEventSorter) Less(i, j int) bool { return s.events[i].ReadyAt < s.events[j].ReadyAt }
-func (s *stepEventSorter) Swap(i, j int) {
-	s.events[i], s.events[j] = s.events[j], s.events[i]
-	if s.meta != nil {
-		s.meta[i], s.meta[j] = s.meta[j], s.meta[i]
-	}
-}
-
-// gatherNodeAxis selects the given nodes along axis 2 of a [B, T, N, F]
-// tensor, producing [B, T, len(nodes), F] — the worker's slice of a batch.
-func gatherNodeAxis(t *tensor.Tensor, nodes []int) *tensor.Tensor {
-	shape := t.Shape()
-	out := tensor.New(shape[0], shape[1], len(nodes), shape[3])
-	for i, n := range nodes {
-		out.Slice(2, i, i+1).CopyFrom(t.Slice(2, n, n+1))
-	}
-	return out
 }
